@@ -705,7 +705,6 @@ func figFaults() {
 	cfg := pfs.PanFSLike(4)
 	cfg.FailTimeout = sim.Time(5e-3)
 	cfg.LeaseExpiry = sim.Time(20e-3)
-	cfg.RebuildTime = sim.Time(0.25)
 	spec := workload.Spec{Ranks: 8, BytesPerRank: 2 << 20, RecordSize: 1 << 18, Pattern: workload.NN}
 
 	// The healthy capture time is the Daly model's delta.
@@ -764,29 +763,35 @@ func figFaults() {
 
 // figIntegrity: silent corruption survival — corruption rate x scrub
 // cadence against the analytic exposure window. Each cell writes a
-// checkpoint, lets latent sector errors accumulate for an hour (drawn by
-// failure.DrawLSE from the same Weibull machinery as the loud failures),
-// and reads it back. With checksums off the corrupt stripe units ride
-// silently into the application — the measured count is compared to the
-// analytic expectation servers x residual/MTBC, where residual is the
-// dwell left after the last scrub pass. With checksums on every mismatch
-// is detected and repaired from a parity neighbour: silent reads must be
-// exactly zero.
+// checkpoint onto 2+1 erasure-coded groups, lets latent sector errors
+// accumulate for an hour (drawn by failure.DrawLSE from the same Weibull
+// machinery as the loud failures), and reads it back. With checksums off
+// the corrupt stripe units ride silently into the application — the
+// measured count is compared to the analytic expectation of events that
+// land under data extents after the last scrub pass: rate x residual
+// dwell x the fraction of each drive's corruption window holding data
+// (the rest holds redundancy fragments, or nothing, and no read touches
+// it). With checksums
+// on every mismatch is detected and repaired from the unit's group:
+// silent reads must be exactly zero.
 func figIntegrity() {
 	header("Integrity — silent corruption vs scrub cadence and checksums")
 	base := pfs.PanFSLike(4)
+	base.Redundancy = pfs.Redundancy{K: 2, M: 1, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}
 	spec := workload.Spec{Ranks: 4, BytesPerRank: 1 << 18, RecordSize: 4096, Pattern: workload.N1Strided}
 	const (
-		expose = sim.Time(3600) // dwell between checkpoint and read-back
-		seed   = 77
+		expose   = sim.Time(3600) // dwell between checkpoint and read-back
+		seed     = 77
+		capacity = 1 << 17 // corruption lands in each drive's first 128 KiB
 	)
 	fmt.Printf("%10s %10s %9s %7s %10s %10s %10s %9s\n",
 		"MTBC (s)", "scrub (s)", "injected", "passes", "silent", "analytic", "repaired", "flagged")
 	for _, mtbc := range []float64{100, 400} {
+		prevSilent := int64(-1)
 		for _, scrub := range []sim.Time{0, 900, 300} {
 			events := failure.DrawLSE(failure.LSESpec{
 				Disks:         base.NumServers,
-				CapacityBytes: 1 << 17, // inside the written region of every drive
+				CapacityBytes: capacity,
 				MTBC:          mtbc,
 				Shape:         1.0, // Poisson arrivals, so the analytic column is exact
 				TornFraction:  0.2,
@@ -809,18 +814,35 @@ func figIntegrity() {
 				}
 				residual = expose - sim.Time(passes)*scrub
 			}
-			analytic := float64(base.NumServers) * float64(residual) / mtbc
-			if on.Stats.SilentReads != 0 {
-				panic("checksummed run let corruption through silently")
+			// Events land uniformly over each drive's first capacity bytes;
+			// only those under a data extent can meet a read.
+			var dataBytes int64
+			for _, offs := range off.DataExtents {
+				for _, o := range offs {
+					if o < capacity {
+						dataBytes += min(o+base.StripeUnit, capacity) - o
+					}
+				}
 			}
+			analytic := float64(residual) / mtbc * float64(dataBytes) / capacity
+			switch {
+			case on.Stats.SilentReads != 0:
+				panic("checksummed run let corruption through silently")
+			case on.Stats.Repaired == 0:
+				panic("checksummed run repaired nothing")
+			case prevSilent >= 0 && off.Stats.SilentReads > prevSilent:
+				panic("more frequent scrubbing let more corruption through")
+			}
+			prevSilent = off.Stats.SilentReads
 			fmt.Printf("%10.0f %10.0f %9d %7d %10d %10.1f %10d %9d\n",
 				mtbc, float64(scrub), off.Stats.Injected, off.ScrubPasses,
 				off.Stats.SilentReads, analytic, on.Stats.Repaired, on.FlaggedReads)
 		}
 	}
-	fmt.Println("shape check: silent corruption tracks the analytic exposure window —")
-	fmt.Println("shrinking ~linearly with scrub cadence — and drops to exactly zero the")
-	fmt.Println("moment read-path checksums are on (every mismatch repaired from parity)")
+	fmt.Println("shape check: silent reads shrink with scrub cadence, tracking the analytic")
+	fmt.Println("count of events under data extents after the last pass (several events")
+	fmt.Println("can rot one record), and drop to exactly zero the moment read-path")
+	fmt.Println("checksums are on (every mismatch repaired from its redundancy group)")
 }
 
 // figScale: the sharded-engine scale experiment — many file-system pods
@@ -962,9 +984,9 @@ func figBB() {
 		probeShards, probeReg, probeTr)
 	fmt.Printf("\ncrash bb0 at t=0.35 s behind a 10 MB/s drain: lost %d dirty bytes, %d torn drains\n",
 		fr.BB.LostBytes, fr.BB.TornDrains)
-	fmt.Printf("byte accounting: absorbed %d = drained %d + lost %d + dropped %d\n",
-		fr.BB.AbsorbedBytes, fr.BB.DrainedBytes, fr.BB.LostBytes, fr.BB.DroppedDrainBytes)
-	if fr.BB.AbsorbedBytes != fr.BB.DrainedBytes+fr.BB.LostBytes+fr.BB.DroppedDrainBytes {
+	fmt.Printf("byte accounting: absorbed %d = drained %d + lost %d + dropped %d + torn %d\n",
+		fr.BB.AbsorbedBytes, fr.BB.DrainedBytes, fr.BB.LostBytes, fr.BB.DroppedDrainBytes, fr.BB.TornBytes)
+	if fr.BB.AbsorbedBytes != fr.BB.DrainedBytes+fr.BB.LostBytes+fr.BB.DroppedDrainBytes+fr.BB.TornBytes {
 		panic("bb: byte accounting identity violated")
 	}
 	if fr.BB.LostBytes == 0 {

@@ -12,7 +12,7 @@
 //	plfsbench -sweep -json BENCH_plfs.json
 //	plfsbench -pattern nn -mtbf 8 -checkpoints 4 -compute 0.5
 //	plfsbench -pattern nn -mtbf 8 -ec-k 4 -ec-m 2 -ec-declustering 0.5
-//	plfsbench -corrupt-rate 20 -scrub 600 -verify=false
+//	plfsbench -corrupt-rate 20 -scrub 600 -verify=false -ec-k 2 -ec-m 1
 //	plfsbench -pattern nn -bb-mode back -bb-nodes 2 -bb-capacity-mb 32 -bb-drain-mbps 100
 //	plfsbench -pattern nn -bb-mode back -mtbf 8   # buffered rounds under OSS crashes
 package main
@@ -378,7 +378,7 @@ func main() {
 		downtime   = flag.Float64("downtime", 0.5, "crash downtime in seconds (0 = permanent failure)")
 		faultSeed  = flag.Int64("fault-seed", 42, "seed for the deterministic fault draw")
 		ckpts      = flag.Int("checkpoints", 4, "compute+checkpoint rounds under -mtbf")
-		ecK        = flag.Int("ec-k", 0, "erasure coding: data fragments per redundancy group (0 = legacy parity-neighbour model)")
+		ecK        = flag.Int("ec-k", 0, "erasure coding: data fragments per redundancy group (0 = no redundancy)")
 		ecM        = flag.Int("ec-m", 0, "erasure coding: parity fragments per group (with -ec-k)")
 		ecRatio    = flag.Float64("ec-declustering", 1, "erasure coding: declustering window as a fraction of the server population, in (0,1]")
 		shards     = flag.Int("shards", 0, "run the simulation on a sharded cluster of this many event queues (0 = single engine); outputs are byte-identical for any value")

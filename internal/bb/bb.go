@@ -206,8 +206,12 @@ type Stats struct {
 	DroppedDrainBytes int64
 
 	// TornDrains counts drains interrupted mid-wire by the node's
-	// crash; their landing extents are marked corrupt in the FS.
+	// crash, and TornBytes their bytes; their landing extents are marked
+	// corrupt in the FS. In write-back mode, once every drain has
+	// finished, AbsorbedBytes = DrainedBytes + LostBytes +
+	// DroppedDrainBytes + TornBytes.
 	TornDrains int64
+	TornBytes  int64
 
 	// Stalls counts writes that waited for buffer capacity
 	// (backpressure); StallTime is their total wait.

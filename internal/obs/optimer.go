@@ -34,7 +34,7 @@ const (
 	// StageDiskTransfer is media transfer time.
 	StageDiskTransfer
 	// StageDegraded is the extra disk cost of degraded-mode reads
-	// (parity reconstruction or rebuild interference) beyond the
+	// (reconstruction from k redundancy-group members) beyond the
 	// fault-free service time.
 	StageDegraded
 	// StageBackoff is retry backoff delay accumulated across attempts.

@@ -42,15 +42,16 @@ func (fs *FS) armSeries(reg *obs.Registry, window float64) {
 		t := float64(now)
 		tsInflight.Observe(t, float64(fs.inflight))
 		tsMDS.Observe(t, float64(fs.mds.QueueLen()))
-		rebuilding := 0
+		down := 0
 		for _, e := range series {
 			e.util.Observe(t, e.s.dq.Utilization())
 			e.qd.Observe(t, float64(e.s.dq.QueueLen()))
-			if e.s.down || e.s.rebuildUntil > now {
-				rebuilding++
+			if e.s.down {
+				down++
 			}
 		}
-		tsRebuild.Observe(t, float64(rebuilding))
+		// Under k+m a down server is exactly when its rebuild chains run.
+		tsRebuild.Observe(t, float64(down))
 	})
 }
 

@@ -102,7 +102,9 @@ func TestAnalyticsSeriesPopulated(t *testing.T) {
 
 func TestAnalyticsDegradedReadAttributed(t *testing.T) {
 	eng, reg := analyticsEngine(1e-3)
-	fs := New(eng, faultConfig(4))
+	cfg := faultConfig(4)
+	cfg.Redundancy = Redundancy{K: 2, M: 1, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}
+	fs := New(eng, cfg)
 	cl := fs.NewClient(0)
 	var f *File
 	cl.Create("/d", func(h *File) {

@@ -9,12 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// faultConfig is testConfig with lease/rebuild semantics made visible.
+// faultConfig is testConfig with timeout/lease semantics made visible.
 func faultConfig(servers int) Config {
 	c := testConfig(servers)
 	c.FailTimeout = sim.Time(10e-3)
 	c.LeaseExpiry = sim.Time(50e-3)
-	c.RebuildTime = sim.Time(1)
 	return c
 }
 
@@ -79,7 +78,7 @@ func TestCrashMidWriteFailsInFlightOp(t *testing.T) {
 }
 
 // diskBoundConfig removes the network bottleneck so disk-level penalties
-// (parity reconstruction) dominate the measured latency.
+// (reconstruction from k group members) dominate the measured latency.
 func diskBoundConfig(servers int) Config {
 	c := faultConfig(servers)
 	c.ClientNetBW = 1e12
@@ -91,6 +90,7 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 	run := func(crash bool) (elapsed sim.Time, err error) {
 		eng := sim.NewEngine()
 		cfg := diskBoundConfig(4)
+		cfg.Redundancy = Redundancy{K: 2, M: 1, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}
 		fs := New(eng, cfg)
 		cl := fs.NewClient(0)
 		var f *File
@@ -101,7 +101,7 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 		eng.Run()
 		if crash {
 			// Crash one server after the write; reads of its stripes must
-			// be reconstructed by a neighbour.
+			// be reconstructed from the survivors of their groups.
 			fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), eng.Now(), 0))
 		}
 		start := eng.Now()
@@ -125,69 +125,52 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 	}
 }
 
-func TestReadDuringRebuildPaysPenaltyThenRecovers(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := diskBoundConfig(2)
-	fs := New(eng, cfg)
-	cl := fs.NewClient(0)
-	var f *File
-	cl.Create("/f", func(h *File) {
-		f = h
-		cl.Write(h, 0, 2<<20, nil)
-	})
-	eng.Run()
-
-	// Crash and recover server 0; it rebuilds for RebuildTime.
-	at := eng.Now()
-	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), at, sim.Time(10e-3)))
-	eng.RunUntil(at + sim.Time(20e-3)) // past recovery, inside rebuild
-
-	timeRead := func() sim.Time {
-		start := eng.Now()
-		var elapsed sim.Time
-		cl.ReadErr(f, 0, 2<<20, func(err error) {
-			if err != nil {
-				t.Fatalf("read failed: %v", err)
-			}
-			elapsed = eng.Now() - start
-		})
-		eng.Run()
-		return elapsed
-	}
-	during := timeRead()
-	if fs.FaultStats().DegradedReads == 0 {
-		t.Fatal("rebuild-window read not counted as degraded")
-	}
-	// Push past the rebuild window and measure the same read again.
-	eng.RunUntil(at + cfg.RebuildTime + 1)
-	after := timeRead()
-	if during <= after {
-		t.Fatalf("rebuild-window read (%v) not slower than post-rebuild read (%v)", during, after)
-	}
-	st := fs.FaultStats()
-	if st.Rebuilds != 1 || st.RebuildBusy != cfg.RebuildTime {
-		t.Fatalf("rebuild stats = %+v, want 1 rebuild of %v", st, cfg.RebuildTime)
-	}
-}
-
+// TestAllServersDownReadFails: without redundancy nothing can serve a
+// down server's stripes — whether every server is down or just the one
+// holding the piece, the read times out with ErrServerDown, counted as
+// failed ops and never as degraded reads.
 func TestAllServersDownReadFails(t *testing.T) {
-	eng := sim.NewEngine()
-	fs := New(eng, faultConfig(2))
-	cl := fs.NewClient(0)
-	var f *File
-	cl.Create("/f", func(h *File) {
-		f = h
-		cl.Write(h, 0, 1<<20, nil)
-	})
-	eng.Run()
-	fs.InjectFaults(sim.NewFaultPlan().
-		Add(OSSTarget(0), eng.Now(), 0).
-		Add(OSSTarget(1), eng.Now(), 0))
-	var gotErr error
-	cl.ReadErr(f, 0, 1<<20, func(err error) { gotErr = err })
-	eng.Run()
-	if !errors.Is(gotErr, ErrServerDown) {
-		t.Fatalf("err = %v, want ErrServerDown", gotErr)
+	for _, tc := range []struct {
+		name       string
+		crash      []int
+		size       int64 // bytes read from offset 0
+		wantFailed int64
+	}{
+		{"all servers down", []int{0, 1}, 1 << 20, 16},
+		{"one server down", []int{0}, 64 << 10, 1}, // unit 0 lives on server 0
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			reg := obs.NewRegistry()
+			eng.Instrument(reg, nil)
+			fs := New(eng, faultConfig(2))
+			cl := fs.NewClient(0)
+			var f *File
+			cl.Create("/f", func(h *File) {
+				f = h
+				cl.Write(h, 0, 1<<20, nil)
+			})
+			eng.Run()
+			plan := sim.NewFaultPlan()
+			for _, i := range tc.crash {
+				plan.Add(OSSTarget(i), eng.Now(), 0)
+			}
+			fs.InjectFaults(plan)
+			before := reg.Snapshot().Counters["pfs.faults.failed_ops"]
+			var gotErr error
+			cl.ReadErr(f, 0, tc.size, func(err error) { gotErr = err })
+			eng.Run()
+			if !errors.Is(gotErr, ErrServerDown) {
+				t.Fatalf("err = %v, want ErrServerDown", gotErr)
+			}
+			c := reg.Snapshot().Counters
+			if got := c["pfs.faults.failed_ops"] - before; got != tc.wantFailed {
+				t.Fatalf("failed_ops rose by %d, want %d", got, tc.wantFailed)
+			}
+			if c["pfs.faults.degraded_reads"] != 0 {
+				t.Fatalf("degraded_reads = %d without redundancy", c["pfs.faults.degraded_reads"])
+			}
+		})
 	}
 }
 
@@ -218,7 +201,6 @@ func TestLeaseExpiryDelaysNextWriter(t *testing.T) {
 func TestRecoveredServerServesWrites(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := faultConfig(2)
-	cfg.RebuildTime = 0
 	fs := New(eng, cfg)
 	fs.InjectFaults(sim.NewFaultPlan().
 		Add(OSSTarget(0), 0, sim.Time(100e-3)).

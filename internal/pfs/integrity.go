@@ -15,9 +15,11 @@ import (
 // by failure.DrawLSE) marks extents rotten over sim-time; what happens
 // next depends on who looks. With Config.Checksums on, every read
 // verifies its stripe unit's crc32c and a mismatch triggers the repair
-// path: reconstruct the unit from a parity neighbour (the PR 3 degraded-
-// read machinery) at DegradedPenalty× cost, rewrite it in place, and
-// deliver the repaired data — the application never sees the corruption.
+// path: reconstruct the unit from k live members of its redundancy group
+// (Config.Redundancy), rewrite it in place, and deliver the repaired data
+// — the application never sees the corruption. Without redundancy there
+// is nothing to reconstruct from, so a mismatch is detected but
+// unrecoverable and the read fails typed (ErrCorruptData).
 // With checksums off the corrupt bytes flow silently into the read, and
 // only the pfs.integrity.silent_reads counter knows. A background Scrub
 // pass sweeps every stored extent (always verifying — a scrub is an
@@ -30,8 +32,8 @@ import (
 // trajectory is byte-identical to a build without it.
 
 // ErrCorruptData is returned by ReadErr completions when a checksum
-// mismatch cannot be repaired — no surviving neighbour is available to
-// reconstruct the stripe unit from parity.
+// mismatch cannot be repaired: the file system has no redundancy, or
+// fewer than k members of the unit's group are live to reconstruct it.
 var ErrCorruptData = errors.New("pfs: unrecoverable corrupt data")
 
 // IntegrityStats aggregates the integrity layer's activity over a run.
@@ -42,9 +44,10 @@ type IntegrityStats struct {
 	// Detected counts checksum mismatches found, on reads or by Scrub.
 	Detected int64
 
-	// Repaired counts stripe-unit repairs completed (reconstruct from a
-	// neighbour + rewrite in place); Unrecoverable counts mismatches with
-	// no surviving neighbour to reconstruct from.
+	// Repaired counts stripe-unit repairs completed (reconstruct from k
+	// group members + rewrite in place); Unrecoverable counts mismatches
+	// with no redundancy group, or too few live members, to reconstruct
+	// from.
 	Repaired      int64
 	Unrecoverable int64
 
@@ -193,61 +196,19 @@ func (fs *FS) detectAndRepair(s *server, gid int, diskOff, size int64, done func
 	})
 }
 
-// repairUnit reconstructs the unit at diskOff on s and rewrites it in
-// place on the home drive, clearing the latent corruption. Under
-// redundancy (gid >= 0) the reconstruction reads from k live members of
-// the unit's group; otherwise a parity neighbour rebuilds it at
-// DegradedPenalty× the nominal disk cost on the neighbour's queues. done
-// receives ErrCorruptData when no one survives to reconstruct from,
-// ErrServerDown if a server dies mid-repair, else nil.
+// repairUnit reconstructs the unit at diskOff on s from k live members
+// of its redundancy group gid — k parallel fragment reads — and rewrites
+// it in place on the home drive, clearing the latent corruption. Without
+// redundancy (gid < 0) or with fewer than k live members there is nothing
+// to reconstruct from, and the mismatch is counted unrecoverable. done
+// receives ErrCorruptData then, ErrServerDown if a server dies
+// mid-repair, else nil.
 func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(error)) {
-	if fs.red != nil && gid >= 0 {
-		fs.repairFromGroup(s, gid, diskOff, size, done)
-		return
+	var readers []liveMember
+	if gid >= 0 {
+		readers = fs.ecLiveMembers(gid, s.idx, fs.red.cfg.K)
 	}
-	alt := fs.survivor(s)
-	if alt == nil {
-		fs.integrity.Unrecoverable++
-		fs.cIntUnrecov.Inc()
-		done(ErrCorruptData)
-		return
-	}
-	svc := sim.Time(float64(alt.dsk.Access(diskOff, size)) * fs.degradedPenalty())
-	aepoch := alt.epoch
-	alt.dq.Submit(svc, func(sim.Time) {
-		if alt.epoch != aepoch {
-			fs.failOp(done)
-			return
-		}
-		wsvc := s.dsk.Access(diskOff, size)
-		sepoch := s.epoch
-		s.dq.Submit(wsvc, func(sim.Time) {
-			if s.epoch != sepoch {
-				fs.failOp(done)
-				return
-			}
-			s.corr.Repair(diskOff, size, fs.eng.Now())
-			fs.integrity.Repaired++
-			fs.cIntRepaired.Inc()
-			done(nil)
-		})
-	})
-}
-
-// repairFromGroup is repairUnit's erasure-coded path: k parallel
-// fragment reads from the unit's redundancy group, then an in-place
-// rewrite on the home drive.
-func (fs *FS) repairFromGroup(s *server, gid int, diskOff, size int64, done func(error)) {
-	red := fs.red
-	slot := -1
-	for i, idx := range red.groups[gid].members {
-		if int(idx) == s.idx {
-			slot = i
-			break
-		}
-	}
-	readers := fs.ecLiveMembers(gid, slot, red.cfg.K)
-	if len(readers) < red.cfg.K {
+	if gid < 0 || len(readers) < fs.red.cfg.K {
 		fs.integrity.Unrecoverable++
 		fs.cIntUnrecov.Inc()
 		done(ErrCorruptData)
@@ -305,7 +266,7 @@ type ScrubReport struct {
 }
 
 // Scrub sweeps every stored stripe unit on every server, verifying
-// checksums and repairing mismatches from parity neighbours — the
+// checksums and repairing mismatches from their redundancy groups — the
 // background media scrub that bounds how long a latent sector error can
 // lie in wait. Servers sweep in parallel; each server walks its extents
 // in deterministic (file, unit) order at normal disk cost on its own
@@ -396,6 +357,23 @@ func (fs *FS) scrubServer(s *server, rep *ScrubReport, done func()) {
 		})
 	}
 	next(0)
+}
+
+// DataExtents returns, per server, the ascending disk offsets of the
+// file stripe units it stores, each StripeUnit bytes long — the extents a
+// read can touch. Redundancy-fragment regions are left out (for the
+// integrity experiment, which relates corruption offsets to data).
+func (fs *FS) DataExtents() [][]int64 {
+	out := make([][]int64, len(fs.servers))
+	for i, s := range fs.servers {
+		for k, off := range s.extent {
+			if k.file >= 0 {
+				out[i] = append(out[i], off)
+			}
+		}
+		sort.Slice(out[i], func(a, b int) bool { return out[i][a] < out[i][b] })
+	}
+	return out
 }
 
 // UnrepairedCorruption counts corruption events that have arrived by now

@@ -19,9 +19,18 @@ func intConfig(servers int) Config {
 	return c
 }
 
+// ecIntConfig is intConfig on 2+1 erasure-coded groups, so checksum
+// mismatches have a redundancy group to be repaired from.
+func ecIntConfig(servers int) Config {
+	c := ecConfig(servers, 2, 1)
+	c.Checksums = true
+	return c
+}
+
 // writeUnits creates /f and writes n full stripe units synchronously,
-// returning the handle. Unit u of file 0 lands on server u%servers at
-// disk offset 0 of that server (first extent allocated there).
+// returning the handle. Without redundancy, unit u of file 0 lands on
+// server u%servers at disk offset 0 of that server (first extent
+// allocated there); with it, unitHome locates the unit.
 func writeUnits(t *testing.T, eng *sim.Engine, fs *FS, n int) *File {
 	t.Helper()
 	cl := fs.NewClient(0)
@@ -37,13 +46,21 @@ func writeUnits(t *testing.T, eng *sim.Engine, fs *FS, n int) *File {
 	return f
 }
 
+// unitHome returns the server index and disk offset holding stripe unit
+// u of f.
+func unitHome(fs *FS, f *File, u int64) (int, int64) {
+	s, _ := fs.dataServer(f.st, u)
+	return s.idx, s.extent[stripeKey{file: f.st.id, unit: u}]
+}
+
 func TestChecksumReadDetectsAndRepairs(t *testing.T) {
 	eng := sim.NewEngine()
-	fs := New(eng, intConfig(2))
-	f := writeUnits(t, eng, fs, 1) // unit 0 on server 0, disk offset 0
-	if err := fs.InjectCorruption([][]disk.CorruptionEvent{
-		{{Offset: 0, Length: 512, At: 1, Mode: disk.MediaError}},
-	}); err != nil {
+	fs := New(eng, ecIntConfig(4))
+	f := writeUnits(t, eng, fs, 1)
+	home, off := unitHome(fs, f, 0)
+	events := make([][]disk.CorruptionEvent, 4)
+	events[home] = []disk.CorruptionEvent{{Offset: off, Length: 512, At: 1, Mode: disk.MediaError}}
+	if err := fs.InjectCorruption(events); err != nil {
 		t.Fatal(err)
 	}
 	cl := fs.NewClient(1)
@@ -101,31 +118,46 @@ func TestChecksumsOffReadsCorruptBytesSilently(t *testing.T) {
 	}
 }
 
+// TestChecksumMismatchWithNoSurvivorIsUnrecoverable: without redundancy
+// a mismatch has nothing to be reconstructed from, so the read fails
+// typed whether or not the other servers are up.
 func TestChecksumMismatchWithNoSurvivorIsUnrecoverable(t *testing.T) {
-	eng := sim.NewEngine()
-	fs := New(eng, intConfig(2))
-	f := writeUnits(t, eng, fs, 1)
-	if err := fs.InjectCorruption([][]disk.CorruptionEvent{
-		{{Offset: 0, Length: 512, At: 1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The only other server is permanently down before the read.
-	if err := fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(1), sim.Time(1.5), 0)); err != nil {
-		t.Fatal(err)
-	}
-	cl := fs.NewClient(1)
-	gotErr := errors.New("read never completed")
-	eng.At(2, func() {
-		cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
-	})
-	eng.Run()
-	if !errors.Is(gotErr, ErrCorruptData) {
-		t.Fatalf("err = %v, want ErrCorruptData", gotErr)
-	}
-	st := fs.IntegrityStats()
-	if st.Detected != 1 || st.Unrecoverable != 1 || st.Repaired != 0 {
-		t.Fatalf("stats = %+v, want one unrecoverable", st)
+	for _, tc := range []struct {
+		name       string
+		crashOther bool
+	}{
+		{"other server down", true},
+		{"healthy cluster", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			fs := New(eng, intConfig(2))
+			f := writeUnits(t, eng, fs, 1)
+			if err := fs.InjectCorruption([][]disk.CorruptionEvent{
+				{{Offset: 0, Length: 512, At: 1}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.crashOther {
+				// The only other server is permanently down before the read.
+				if err := fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(1), sim.Time(1.5), 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl := fs.NewClient(1)
+			gotErr := errors.New("read never completed")
+			eng.At(2, func() {
+				cl.ReadErr(f, 0, fs.Cfg.StripeUnit, func(err error) { gotErr = err })
+			})
+			eng.Run()
+			if !errors.Is(gotErr, ErrCorruptData) {
+				t.Fatalf("err = %v, want ErrCorruptData", gotErr)
+			}
+			st := fs.IntegrityStats()
+			if st.Detected != 1 || st.Unrecoverable != 1 || st.Repaired != 0 {
+				t.Fatalf("stats = %+v, want one unrecoverable", st)
+			}
+		})
 	}
 }
 
@@ -166,15 +198,20 @@ func TestScrubRepairRestoresCleanContents(t *testing.T) {
 	const units = 8
 	for seed := int64(1); seed <= 5; seed++ {
 		eng := sim.NewEngine()
-		fs := New(eng, intConfig(4))
+		fs := New(eng, ecIntConfig(4))
 		f := writeUnits(t, eng, fs, units)
-		// Random events confined to allocated disk space: each server
-		// holds units/4 extents starting at disk offset 0.
+		// Random events confined to allocated disk space: each server's
+		// data extents and redundancy-fragment regions, from offset 0.
+		// Scrub sweeps all of them.
 		r := rand.New(rand.NewSource(seed))
 		events := make([][]disk.CorruptionEvent, 4)
-		allocated := int64(units/4) * fs.Cfg.StripeUnit
-		total := 0
+		total, stored := 0, int64(0)
 		for s := range events {
+			allocated := fs.servers[s].next
+			stored += int64(len(fs.servers[s].extent))
+			if allocated == 0 {
+				continue // this server holds nothing of /f
+			}
 			for k := 0; k < 1+r.Intn(4); k++ {
 				off := (r.Int63n(allocated / 512)) * 512
 				length := int64(512 * (1 + r.Intn(4)))
@@ -196,8 +233,8 @@ func TestScrubRepairRestoresCleanContents(t *testing.T) {
 		if fs.UnrepairedCorruption() != 0 {
 			t.Fatalf("seed %d: %d events survived the scrub", seed, fs.UnrepairedCorruption())
 		}
-		if rep.Units != units || rep.Unrecoverable != 0 {
-			t.Fatalf("seed %d: report = %+v, want %d units all repairable", seed, rep, units)
+		if rep.Units != stored || rep.Unrecoverable != 0 {
+			t.Fatalf("seed %d: report = %+v, want %d units all repairable", seed, rep, stored)
 		}
 		if rep.Detected == 0 || rep.Detected != rep.Repaired {
 			t.Fatalf("seed %d: report = %+v, want detected==repaired>0", seed, rep)
@@ -235,20 +272,29 @@ func TestNoCorruptionReachesReadsUnflagged(t *testing.T) {
 		TornFraction:  0.25,
 		Horizon:       10,
 	}
+	eng := sim.NewEngine()
+	reg := obs.NewRegistry()
+	eng.Instrument(reg, nil)
+	fs := New(eng, ecIntConfig(4))
+	f := writeUnits(t, eng, fs, units)
+	// Keep the events that land in allocated disk space: the group hash
+	// can leave a drive holding nothing of /f, and rot on space no extent
+	// covers is never read or scrubbed.
 	events := failure.DrawLSE(spec, 99)
 	injected := 0
-	for _, evs := range events {
-		injected += len(evs)
+	for i, evs := range events {
+		kept := evs[:0]
+		for _, ev := range evs {
+			if ev.Offset+ev.Length <= fs.servers[i].next {
+				kept = append(kept, ev)
+			}
+		}
+		events[i] = kept
+		injected += len(kept)
 	}
 	if injected == 0 {
 		t.Fatal("draw produced no corruption")
 	}
-
-	eng := sim.NewEngine()
-	reg := obs.NewRegistry()
-	eng.Instrument(reg, nil)
-	fs := New(eng, intConfig(4))
-	f := writeUnits(t, eng, fs, units)
 	if err := fs.InjectCorruption(events); err != nil {
 		t.Fatal(err)
 	}

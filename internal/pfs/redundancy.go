@@ -10,9 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// This file generalizes the failure model from a single parity neighbour
-// to k+m Reed-Solomon-style redundancy groups with declustered placement
-// — the layer the report's petascale reliability argument turns on. The
+// This file is the file system's one redundancy model: k+m
+// Reed-Solomon-style redundancy groups with declustered placement — the
+// layer the report's petascale reliability argument turns on. The
 // population is carved into redundancy groups of width k+m whose members
 // a placement.Declustered window hash spreads over the cluster, so every
 // drive's rebuild partners fan out across (a configurable fraction of)
@@ -24,8 +24,8 @@ import (
 // any k survivors at a cost proportional to the group width, and the
 // (m+1)-th overlapping failure inside a group is a counted, typed data-
 // loss event (ErrDataLoss, pfs.loss.*) — never a silent read, never a
-// panic. With the zero Redundancy value none of this exists and every
-// event trajectory is byte-identical to the parity-neighbour model.
+// panic. With the zero Redundancy value none of this exists: the file
+// system keeps no redundancy, and data on a down server is unreadable.
 
 // ErrDataLoss is returned by ReadErr completions when more than m
 // members of the piece's redundancy group are concurrently failed —
@@ -33,9 +33,9 @@ import (
 var ErrDataLoss = errors.New("pfs: data loss: redundancy group lost more than m members")
 
 // Redundancy configures k+m erasure-coded redundancy groups with
-// declustered placement. The zero value disables the layer entirely,
-// keeping the legacy single-parity-neighbour model and its exact event
-// trajectories.
+// declustered placement. The zero value means no redundancy: reads of a
+// down server's stripes fail with ErrServerDown, and checksum mismatches
+// are unrecoverable (ErrCorruptData).
 type Redundancy struct {
 	// K is the number of data fragments per group; M the number of
 	// redundancy fragments. A group survives any M concurrent member
@@ -61,12 +61,6 @@ type Redundancy struct {
 	// ChunkBytes is the rebuild I/O granularity: each chunk is k
 	// parallel partner reads plus one spare write (default 2 MiB).
 	ChunkBytes int64
-
-	// Throttle is the fraction of its partners' disk time a rebuild may
-	// consume, in (0, 1]; default 1 (rebuild at full speed). Lower
-	// values idle the rebuild between chunks, trading longer rebuild
-	// windows for less foreground interference.
-	Throttle float64
 }
 
 // Enabled reports whether the redundancy layer is active.
@@ -86,8 +80,6 @@ func (r Redundancy) Validate() error {
 		return fmt.Errorf("pfs: GroupsPerServer %d < 0", r.GroupsPerServer)
 	case r.UnitBytes < 0 || r.ChunkBytes < 0:
 		return fmt.Errorf("pfs: negative rebuild sizes")
-	case r.Throttle < 0 || r.Throttle > 1:
-		return fmt.Errorf("pfs: rebuild throttle %v outside (0, 1]", r.Throttle)
 	}
 	return nil
 }
@@ -116,13 +108,6 @@ func (r Redundancy) chunkBytes() int64 {
 func (r Redundancy) ratio() float64 {
 	if r.Declustering > 0 {
 		return r.Declustering
-	}
-	return 1
-}
-
-func (r Redundancy) throttle() float64 {
-	if r.Throttle > 0 {
-		return r.Throttle
 	}
 	return 1
 }
@@ -268,8 +253,8 @@ func newRedState(cfg Config) *redState {
 }
 
 // armRedundancy registers the pfs.rebuild.* and pfs.loss.* instruments.
-// Called from instrument() only when the layer is enabled, so legacy
-// configurations register exactly the pre-redundancy metric set.
+// Called from instrument() only when the layer is enabled, so
+// configurations without redundancy register none of them.
 func (fs *FS) armRedundancy(reg *obs.Registry) {
 	red := fs.red
 	red.cRebStarted = reg.Counter(fs.metric("pfs.rebuild.started"))
@@ -323,8 +308,8 @@ func (red *redState) groupOf(fileID int, unit int64) (gid, slot int) {
 }
 
 // dataServer resolves the server storing a file's stripe unit and its
-// redundancy group (-1 without redundancy, where placement stays the
-// legacy rotation). With redundancy the group map is authoritative, so a
+// redundancy group (-1 without redundancy, where placement is the plain
+// stripe rotation). With redundancy the group map is authoritative, so a
 // rebuilt slot's traffic follows the member replacement to the spare.
 func (fs *FS) dataServer(st *fileState, unit int64) (*server, int) {
 	if fs.red == nil {
@@ -365,18 +350,15 @@ type liveMember struct {
 	slot int
 }
 
-// ecLiveMembers returns up to want live members of gid, excluding the
-// slot being reconstructed, in member order — the "any k survivors" a
-// reconstruction reads from.
+// ecLiveMembers returns up to want live members of gid, excluding server
+// exclude (the member being reconstructed), in member order — the "any k
+// survivors" a reconstruction reads from.
 func (fs *FS) ecLiveMembers(gid, exclude, want int) []liveMember {
 	g := &fs.red.groups[gid]
 	out := make([]liveMember, 0, want)
 	for slot, idx := range g.members {
-		if slot == exclude {
-			continue
-		}
 		s := fs.servers[idx]
-		if s.down {
+		if s.idx == exclude || s.down {
 			continue
 		}
 		out = append(out, liveMember{srv: s, slot: slot})
@@ -429,7 +411,7 @@ func (fs *FS) writeRedundant(gid int, p subOp, ot *obs.OpTimer, done func()) {
 // readReconstruct serves a piece whose home member is down by reading
 // from any k live members of its group in parallel — k fragment-sized
 // disk reads, so the degraded cost is proportional to the group width —
-// and shipping the decoded data from the first survivor's NIC.
+// and shipping the decoded data from the first reader's NIC.
 func (fs *FS) readReconstruct(gid int, home *server, p subOp, ot *obs.OpTimer, done func(error)) {
 	red := fs.red
 	g := &red.groups[gid]
@@ -437,14 +419,7 @@ func (fs *FS) readReconstruct(gid int, home *server, p subOp, ot *obs.OpTimer, d
 		fs.lossRead(done)
 		return
 	}
-	homeSlot := -1
-	for slot, idx := range g.members {
-		if int(idx) == home.idx {
-			homeSlot = slot
-			break
-		}
-	}
-	readers := fs.ecLiveMembers(gid, homeSlot, red.cfg.K)
+	readers := fs.ecLiveMembers(gid, home.idx, red.cfg.K)
 	if len(readers) < red.cfg.K {
 		fs.failOp(done)
 		return
@@ -705,7 +680,7 @@ func (fs *FS) rebuildGroup(inc *ecIncident, gid int, done func(completed bool)) 
 			}
 			off = 0 // a fresh spare restarts the share
 		}
-		readers := fs.ecLiveMembers(gid, slot, red.cfg.K)
+		readers := fs.ecLiveMembers(gid, inc.server, red.cfg.K)
 		if len(readers) < red.cfg.K {
 			finish(false)
 			return
@@ -714,7 +689,6 @@ func (fs *FS) rebuildGroup(inc *ecIncident, gid int, done func(completed bool)) 
 		if off+n > total {
 			n = total - off
 		}
-		t0 := fs.eng.Now()
 		failed := false
 		target := spare
 		barrier := sim.NewBarrier(fs.eng, len(readers), func(sim.Time) {
@@ -739,13 +713,6 @@ func (fs *FS) rebuildGroup(inc *ecIncident, gid int, done func(completed bool)) 
 				}
 				red.stats.Bytes += n
 				red.cRebBytes.Add(n)
-				if th := red.cfg.throttle(); th < 1 {
-					// Idle between chunks so foreground traffic keeps
-					// (1 - throttle) of the spindles.
-					idle := sim.Time(float64(fs.eng.Now()-t0) * (1 - th) / th)
-					fs.eng.Schedule(idle, func() { step(off + n) })
-					return
-				}
 				step(off + n)
 			})
 		})

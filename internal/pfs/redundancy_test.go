@@ -23,7 +23,6 @@ func TestRedundancyValidate(t *testing.T) {
 		{K: 1},                          // M = 0 while enabled
 		{M: 2},                          // K = 0 while enabled
 		{K: 4, M: 2, Declustering: 1.5}, // ratio out of range
-		{K: 4, M: 2, Throttle: -1},
 		{K: 4, M: 2, UnitBytes: -1},
 	}
 	for _, r := range bad {
@@ -45,8 +44,8 @@ func TestRedundancyValidate(t *testing.T) {
 }
 
 func TestRedundancyZeroValueInert(t *testing.T) {
-	// The zero Redundancy keeps the legacy parity-neighbour model: no
-	// group state, no rebuild accounting, and the crash path untouched.
+	// The zero Redundancy means no redundancy: no group state, no
+	// rebuild accounting, and the crash path untouched.
 	eng := sim.NewEngine()
 	fs := New(eng, faultConfig(4))
 	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), 0, sim.Time(10e-3)))

@@ -17,7 +17,6 @@ func goldenFaultSpec() (pfs.Config, FaultSpec) {
 	cfg := pfs.PanFSLike(4)
 	cfg.FailTimeout = sim.Time(5e-3)
 	cfg.LeaseExpiry = sim.Time(20e-3)
-	cfg.RebuildTime = sim.Time(0.2)
 	plan := failure.DrawOSSFaults(failure.OSSFaultSpec{
 		Servers:  4,
 		MTBF:     0.4,

@@ -78,6 +78,10 @@ type IntegrityResult struct {
 	// Stats is the file system's integrity-layer accounting; SilentReads
 	// is the application-visible corruption count when checksums are off.
 	Stats pfs.IntegrityStats
+
+	// DataExtents is the file system's data layout at the end of the run
+	// (pfs.FS.DataExtents): which disk bytes hold data a read can meet.
+	DataExtents [][]int64
 }
 
 // RunIntegrity executes the write/dwell/read-back experiment on a fresh
@@ -206,5 +210,6 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 	}
 	result.Write.MetadataOps = fs.MetadataOps()
 	result.Stats = fs.IntegrityStats()
+	result.DataExtents = fs.DataExtents()
 	return result
 }

@@ -11,11 +11,13 @@ import (
 	"repro/internal/sim"
 )
 
-// integrityFixture is a corruption-heavy run: events land well inside the
-// written region (capacity bound below bytes-per-server) and all arrive
-// during the hour-long dwell before read-back.
+// integrityFixture is a corruption-heavy run on 2+1 erasure-coded groups
+// (so mismatches can be repaired): events land inside the first 128 KiB
+// of every drive and all arrive during the hour-long dwell before
+// read-back.
 func integrityFixture(checksums bool, scrub sim.Time) (pfs.Config, IntegritySpec) {
 	cfg := pfs.PanFSLike(4)
+	cfg.Redundancy = pfs.Redundancy{K: 2, M: 1, UnitBytes: 256 << 10, ChunkBytes: 64 << 10}
 	cfg.Checksums = checksums
 	events := failure.DrawLSE(failure.LSESpec{
 		Disks:         4,
@@ -55,8 +57,8 @@ func TestIntegrityChecksumsFlagOrRepairEverything(t *testing.T) {
 	if st.Detected != st.Repaired+st.Unrecoverable {
 		t.Fatalf("detection ledger unbalanced: %+v", st)
 	}
-	// All four servers stayed up, so parity reconstruction always had a
-	// surviving neighbour: nothing unrecoverable, nothing flagged.
+	// All four servers stayed up, so every group always had k live
+	// members to reconstruct from: nothing unrecoverable, nothing flagged.
 	if st.Unrecoverable != 0 || res.FlaggedReads != 0 {
 		t.Fatalf("healthy cluster had unrecoverable units: %+v flagged=%d", st, res.FlaggedReads)
 	}
