@@ -244,17 +244,17 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Tag != nil {
 			b.add(s.Tag)
 		}
-		b.caseClauses(s.Body.List, false)
+		b.caseClauses(s.Body.List, exprSwitch)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			b.add(s.Init)
 		}
 		b.add(s.Assign)
-		b.caseClauses(s.Body.List, false)
+		b.caseClauses(s.Body.List, typeSwitch)
 
 	case *ast.SelectStmt:
-		b.caseClauses(s.Body.List, true)
+		b.caseClauses(s.Body.List, selectStmt)
 
 	case *ast.LabeledStmt:
 		li := b.labels[s.Label.Name]
@@ -328,11 +328,23 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	}
 }
 
-// caseClauses builds the n-way branch of a switch/type-switch (isSelect
-// false) or select (true). Each clause body starts a fresh block hung
-// off the current (header) block; fallthrough chains a clause into the
-// next one.
-func (b *cfgBuilder) caseClauses(clauses []ast.Stmt, isSelect bool) {
+// clauseKind tells caseClauses how a statement picks its clause.
+type clauseKind int
+
+const (
+	exprSwitch clauseKind = iota // case conditions tried in source order
+	typeSwitch                   // one n-way branch on the dynamic type
+	selectStmt                   // one n-way branch on the ready channel
+)
+
+// caseClauses builds the branch of a switch or select. In an expression
+// switch the case conditions form a chain in source order: each failed
+// condition falls to the next, and default (wherever it is written) is
+// reached only after every condition failed, so a later clause sees
+// everything the earlier conditions read. Type-switch and select clause
+// bodies each start a fresh block hung off the header. fallthrough
+// chains a clause's body into the next clause's body.
+func (b *cfgBuilder) caseClauses(clauses []ast.Stmt, kind clauseKind) {
 	header := b.cur
 	after := b.newBlock()
 	if b.curLabel != nil {
@@ -341,33 +353,43 @@ func (b *cfgBuilder) caseClauses(clauses []ast.Stmt, isSelect bool) {
 	}
 	b.breaks = append(b.breaks, after)
 
-	hasDefault := false
+	test := header // the exprSwitch chain's current tail
+	var dflt *Block
 	bodies := make([]*Block, len(clauses))
 	ends := make([]*Block, len(clauses))
 	falls := make([]bool, len(clauses))
 	for i, cl := range clauses {
 		entry := b.newBlock()
-		b.link(header, entry)
-		b.cur = entry
 		var body []ast.Stmt
 		switch cl := cl.(type) {
 		case *ast.CaseClause:
-			if cl.List == nil {
-				hasDefault = true
-			}
-			for _, e := range cl.List {
-				b.add(e)
-			}
 			body = cl.Body
+			switch {
+			case cl.List == nil:
+				dflt = entry
+			case kind == exprSwitch:
+				cond := b.newBlock()
+				b.link(test, cond)
+				cond.Nodes = append(cond.Nodes, exprNodes(cl.List)...)
+				b.link(cond, entry)
+				test = cond
+			default:
+				entry.Nodes = append(entry.Nodes, exprNodes(cl.List)...)
+			}
+			if kind != exprSwitch {
+				b.link(header, entry)
+			}
 		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			} else {
-				b.add(cl.Comm)
-			}
 			body = cl.Body
+			if cl.Comm == nil {
+				dflt = entry
+			} else {
+				entry.Nodes = append(entry.Nodes, cl.Comm)
+			}
+			b.link(header, entry)
 		}
-		bodies[i] = b.cur
+		b.cur = entry
+		bodies[i] = entry
 		if n := len(body); n > 0 {
 			if br, ok := body[n-1].(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
 				falls[i] = true
@@ -382,19 +404,30 @@ func (b *cfgBuilder) caseClauses(clauses []ast.Stmt, isSelect bool) {
 			b.link(ends[i], bodies[i+1])
 		}
 	}
-	if !hasDefault && !isSelect {
+	switch {
+	case kind == exprSwitch && dflt != nil:
+		b.link(test, dflt)
+	case kind == exprSwitch:
+		b.link(test, after)
+	case kind == typeSwitch && dflt == nil:
 		b.link(header, after)
-	}
-	if !hasDefault && isSelect {
-		// A select without default blocks until some case is ready; all
-		// paths go through a clause, so no header->after edge. (With no
-		// clauses at all it blocks forever; keep the edge to stay sound.)
-		if len(clauses) == 0 {
-			b.link(header, after)
-		}
+	case kind == selectStmt && len(clauses) == 0:
+		// A select without default blocks until some case is ready, so
+		// every path goes through a clause; with no clauses at all it
+		// blocks forever, and the edge keeps the graph sound.
+		b.link(header, after)
 	}
 	b.breaks = b.breaks[:len(b.breaks)-1]
 	b.cur = after
+}
+
+// exprNodes converts a case list for Block.Nodes.
+func exprNodes(list []ast.Expr) []ast.Node {
+	out := make([]ast.Node, len(list))
+	for i, e := range list {
+		out[i] = e
+	}
+	return out
 }
 
 func (b *cfgBuilder) pushLoop(brk, cont *Block) {

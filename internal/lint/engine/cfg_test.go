@@ -258,3 +258,76 @@ func f(n int) int {
 		t.Fatal("exit block unreachable from entry")
 	}
 }
+
+// TestCFGExpressionSwitchChainsConditions pins the expression-switch
+// shape: case conditions run in source order, so the second condition's
+// only predecessor is the first condition, and default — written first
+// here — is reached only after the last condition failed.
+func TestCFGExpressionSwitchChainsConditions(t *testing.T) {
+	src := `package p
+func f(a, b bool) int {
+	switch {
+	default:
+		return 3
+	case a:
+		return 1
+	case b:
+		return 2
+	}
+}`
+	fd, _ := parseFunc(t, src, "f")
+	cfg := engine.BuildCFG(fd.Body)
+	// holding returns the block whose nodes include the matching node.
+	holding := func(match func(ast.Node) bool) *engine.Block {
+		t.Helper()
+		for _, b := range cfg.Blocks {
+			for _, n := range b.Nodes {
+				if match(n) {
+					return b
+				}
+			}
+		}
+		t.Fatal("node not found in any block")
+		return nil
+	}
+	ident := func(name string) func(ast.Node) bool {
+		return func(n ast.Node) bool { id, ok := n.(*ast.Ident); return ok && id.Name == name }
+	}
+	returns := func(lit string) func(ast.Node) bool {
+		return func(n ast.Node) bool {
+			r, ok := n.(*ast.ReturnStmt)
+			if !ok || len(r.Results) != 1 {
+				return false
+			}
+			bl, ok := r.Results[0].(*ast.BasicLit)
+			return ok && bl.Value == lit
+		}
+	}
+	preds := func(to *engine.Block) []*engine.Block {
+		var out []*engine.Block
+		for _, b := range cfg.Blocks {
+			for _, s := range b.Succs {
+				if s == to {
+					out = append(out, b)
+				}
+			}
+		}
+		return out
+	}
+	condA, condB := holding(ident("a")), holding(ident("b"))
+	if condA == condB || condA == cfg.Entry() || condB == cfg.Entry() {
+		t.Fatal("each case condition must sit in its own block off the header")
+	}
+	if p := preds(condA); len(p) != 1 || p[0] != cfg.Entry() {
+		t.Fatalf("first condition's predecessors %v, want only the header", p)
+	}
+	if p := preds(condB); len(p) != 1 || p[0] != condA {
+		t.Fatalf("second condition's predecessors %v, want only the first condition", p)
+	}
+	if p := preds(holding(returns("3"))); len(p) != 1 || p[0] != condB {
+		t.Fatalf("default body's predecessors %v, want only the last condition", p)
+	}
+	if p := preds(holding(returns("2"))); len(p) != 1 || p[0] != condB {
+		t.Fatalf("second body's predecessors %v, want only its condition", p)
+	}
+}

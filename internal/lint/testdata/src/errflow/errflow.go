@@ -124,3 +124,30 @@ func callbackChecked() {
 func allowed() {
 	fail() //lint:allow errflow -- fixture proves the escape hatch
 }
+
+// callbackSwitch reads the error in the first case condition, which runs
+// on every path into the later cases and default: clean.
+func callbackSwitch(b bool) {
+	writeErr(6, func(err error) {
+		switch {
+		case err != nil:
+			println(err.Error())
+		case b:
+			println("b")
+		default:
+			println("neither")
+		}
+	})
+}
+
+// switchChecked reads the error in the first case condition before any
+// later case is tried: clean.
+func switchChecked(b bool) {
+	err := fail()
+	switch {
+	case err != nil:
+		println(err.Error())
+	case b:
+		println("b")
+	}
+}
