@@ -7,8 +7,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# test mirrors CI's test step: the root module under -race, then the
+# benchmark's own module (cmd/pdsibench/go.mod), which ./... skips.
 test:
 	$(GO) test -race ./...
+	cd cmd/pdsibench && $(GO) test .
 
 # lint mirrors the blocking lint steps in CI exactly: formatting, vet,
 # and the repo's own determinism/invariant analyzers (cmd/pdsilint),

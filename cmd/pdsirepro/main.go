@@ -317,15 +317,15 @@ func fig8() {
 		"file system", "N-1 direct MB/s", "PLFS MB/s", "N-N MB/s", "speedup")
 	for _, cfg := range pfs.AllPresets(8) {
 		base := workload.Spec{Ranks: 32, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: workload.N1Strided}
-		direct := workload.RunProbed(cfg, base, probeReg, probeTr)
+		direct := workload.Run(cfg, base, probeReg, probeTr)
 		viaSpec := base
 		viaSpec.Pattern = workload.PLFSPattern
 		viaSpec.PLFSHostdirs = 32
 		viaSpec.PLFSIndexFlushEvery = 64
-		viaPLFS := workload.RunProbed(cfg, viaSpec, probeReg, probeTr)
+		viaPLFS := workload.Run(cfg, viaSpec, probeReg, probeTr)
 		nnSpec := base
 		nnSpec.Pattern = workload.NN
-		nn := workload.RunProbed(cfg, nnSpec, probeReg, probeTr)
+		nn := workload.Run(cfg, nnSpec, probeReg, probeTr)
 		var ratio float64
 		if direct.Bandwidth > 0 {
 			ratio = viaPLFS.Bandwidth / direct.Bandwidth
@@ -342,9 +342,9 @@ func fig9() {
 	header("Figure 9 — TCP incast: goodput vs number of synchronized senders")
 	counts := []int{1, 2, 4, 8, 16, 32, 48, 64}
 	fmt.Printf("%8s %20s %20s %22s\n", "senders", "200ms RTO (Mbps)", "1ms RTO (Mbps)", "1ms+random (Mbps)")
-	slow := incast.SweepProbed(counts, nil, probeReg, probeTr)
-	fast := incast.SweepProbed(counts, func(p *incast.Params) { p.MinRTO = 1e-3 }, probeReg, probeTr)
-	rnd := incast.SweepProbed(counts, func(p *incast.Params) { p.MinRTO = 1e-3; p.RTORandomize = true }, probeReg, probeTr)
+	slow := incast.Sweep(counts, nil, probeReg, probeTr)
+	fast := incast.Sweep(counts, func(p *incast.Params) { p.MinRTO = 1e-3 }, probeReg, probeTr)
+	rnd := incast.Sweep(counts, func(p *incast.Params) { p.MinRTO = 1e-3; p.RTORandomize = true }, probeReg, probeTr)
 	for i, n := range counts {
 		fmt.Printf("%8d %20.1f %20.1f %22.1f\n",
 			n, slow[i].GoodputBps*8/1e6, fast[i].GoodputBps*8/1e6, rnd[i].GoodputBps*8/1e6)
@@ -423,8 +423,9 @@ func fig13() {
 func fig14() {
 	header("Figure 14 — sustained 4K random write IOPS over time per device")
 	for i, spec := range flash.AllTable1Devices() {
-		res := flash.SustainedRandomWriteProbed(spec, 1.0, 60, 5, 99,
+		res := flash.SustainedRandomWrite(spec, 1.0, 60, 5, 99,
 			probeReg, fmt.Sprintf("flash.dev%02d", i))
+
 		fmt.Printf("%-32s ", spec.Name)
 		for _, w := range res {
 			fmt.Printf("%8.0f", w.IOPS)
@@ -521,11 +522,12 @@ func figRestart() {
 		Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 47008,
 		Pattern: workload.PLFSPattern, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}
-	uni := workload.RunRestartProbed(cfg, spec, workload.UniformRestart, probeReg, probeTr)
-	sh := workload.RunRestartProbed(cfg, spec, workload.ShiftedRestart, probeReg, probeTr)
-	direct := workload.RunRestartProbed(cfg, workload.Spec{
+	uni := workload.RunRestart(cfg, spec, workload.UniformRestart, probeReg, probeTr)
+	sh := workload.RunRestart(cfg, spec, workload.ShiftedRestart, probeReg, probeTr)
+	direct := workload.RunRestart(cfg, workload.Spec{
 		Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: workload.N1Strided,
 	}, workload.UniformRestart, probeReg, probeTr)
+
 	fmt.Printf("%-34s %12s %14s\n", "scenario", "time (s)", "MB/s moved")
 	fmt.Printf("%-34s %12.2f %14.1f\n", "PLFS write + uniform restart", float64(uni.Elapsed), mb(uni.Bandwidth))
 	fmt.Printf("%-34s %12.2f %14.1f\n", "PLFS write + shifted restart", float64(sh.Elapsed), mb(sh.Bandwidth))
@@ -995,8 +997,7 @@ func figBB() {
 
 	// Determinism: the same buffered, fault-injected run must serialize
 	// a byte-identical snapshot on one shard and on four.
-	snap := func(shards int) []byte {
-		reg := obs.NewRegistry()
+	sameAcrossShards("bb", func(shards int, reg *obs.Registry) {
 		workload.RunFaults(cfg, workload.FaultSpec{
 			Spec:         spec,
 			Checkpoints:  rounds,
@@ -1007,6 +1008,21 @@ func figBB() {
 			RetryBackoff: sim.Time(2e-3),
 			Shards:       shards,
 		}, reg, nil)
+	})
+
+	fmt.Println("\nshape check: write-back holds the visible checkpoint near the flash")
+	fmt.Println("absorb time until the buffer fills or the drain loses the race with")
+	fmt.Println("the next round; write-through only re-orders the same wire time; a")
+	fmt.Println("node crash forfeits exactly the un-drained dirty bytes")
+}
+
+// sameAcrossShards runs one experiment on one shard and on four, each
+// into a fresh registry, prints whether the two metrics snapshots are
+// byte-identical and panics if they diverged.
+func sameAcrossShards(name string, run func(shards int, reg *obs.Registry)) {
+	snap := func(shards int) []byte {
+		reg := obs.NewRegistry()
+		run(shards, reg)
 		var buf bytes.Buffer
 		if err := reg.WriteJSON(&buf); err != nil {
 			panic(err)
@@ -1020,13 +1036,8 @@ func figBB() {
 	}
 	fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
 	if status == "DIVERGED" {
-		panic("bb: snapshot diverged across shard counts")
+		panic(name + ": snapshot diverged across shard counts")
 	}
-
-	fmt.Println("\nshape check: write-back holds the visible checkpoint near the flash")
-	fmt.Println("absorb time until the buffer fills or the drain loses the race with")
-	fmt.Println("the next round; write-through only re-orders the same wire time; a")
-	fmt.Println("node crash forfeits exactly the un-drained dirty bytes")
 }
 
 // figDiag: peer-comparison diagnosis.
@@ -1143,29 +1154,14 @@ func figRebuild() {
 
 	// Determinism: the same storm must serialize a byte-identical
 	// snapshot on one shard and on four.
-	snap := func(nshards int) []byte {
+	sameAcrossShards("rebuild", func(shards int, reg *obs.Registry) {
 		s := base
 		s.Red = red(4, 2, 1.0)
 		s.Pods, s.Servers = 8, 16
 		s.Rounds = 2
-		s.Shards = nshards
-		reg := obs.NewRegistry()
+		s.Shards = shards
 		workload.RunRebuild(s, reg)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			panic(err)
-		}
-		return buf.Bytes()
-	}
-	s1, s4 := snap(1), snap(4)
-	status := "identical"
-	if !bytes.Equal(s1, s4) {
-		status = "DIVERGED"
-	}
-	fmt.Printf("\nshard determinism: 1-shard vs 4-shard snapshot %s (%d bytes)\n", status, len(s1))
-	if status == "DIVERGED" {
-		panic("rebuild: snapshot diverged across shard counts")
-	}
+	})
 
 	fmt.Println("\nshape check: more parity (larger m) cuts the loss probability at the")
 	fmt.Println("same storm; declustering over the full population fans each rebuild")

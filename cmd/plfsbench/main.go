@@ -481,10 +481,11 @@ func main() {
 		for _, r := range []int{8, 16, 32, 64, 128} {
 			row := []float64{}
 			for _, p := range []workload.Pattern{workload.N1Strided, workload.N1Segmented, workload.NN, workload.PLFSPattern} {
-				res := workload.RunProbed(cfg, workload.Spec{
+				res := workload.Run(cfg, workload.Spec{
 					Ranks: r, BytesPerRank: *mbEach << 20, RecordSize: *record,
 					Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 				}, reg, tr)
+
 				row = append(row, res.Bandwidth/1e6)
 				addResult(p, r, res)
 			}
@@ -511,10 +512,11 @@ func main() {
 		runBuffered(cfg, bbCfg, p, *ranks, *mbEach, *record, *computeSec, *ckpts, *shards, reg, tr)
 		return
 	}
-	res := workload.RunProbed(cfg, workload.Spec{
+	res := workload.Run(cfg, workload.Spec{
 		Ranks: *ranks, BytesPerRank: *mbEach << 20, RecordSize: *record,
 		Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}, reg, tr)
+
 	addResult(p, *ranks, res)
 	fmt.Printf("file system:   %s (%d servers)\n", cfg.Name, *servers)
 	fmt.Printf("pattern:       %s\n", p)

@@ -25,7 +25,7 @@ func main() {
 	fmt.Println("synchronized reads through one 1GbE client port, 64-packet switch buffer")
 	fmt.Println()
 	fmt.Println("conventional 200ms minimum RTO:")
-	for _, r := range incast.Sweep(counts, nil) {
+	for _, r := range incast.Sweep(counts, nil, nil, nil) {
 		mbps := r.GoodputBps * 8 / 1e6
 		fmt.Printf("  %3d senders %8.1f Mbps %-40s (timeouts: %d)\n",
 			r.Params.Senders, mbps, bar(mbps), r.Timeouts)
@@ -36,7 +36,7 @@ func main() {
 	for _, r := range incast.Sweep(counts, func(p *incast.Params) {
 		p.MinRTO = 1e-3
 		p.RTORandomize = true
-	}) {
+	}, nil, nil) {
 		mbps := r.GoodputBps * 8 / 1e6
 		fmt.Printf("  %3d senders %8.1f Mbps %-40s (timeouts: %d)\n",
 			r.Params.Senders, mbps, bar(mbps), r.Timeouts)

@@ -75,9 +75,13 @@ func (m Mode) String() string {
 	}
 }
 
-// ErrNodeDown is returned by WriteOp completions when the operation's
-// buffer node crashed before acknowledging.
+// ErrNodeDown is returned by Tier.Write completions when the
+// operation's buffer node crashed before acknowledging.
 var ErrNodeDown = errors.New("bb: burst-buffer node down")
+
+// errTornDrain ends a drain whose node crashed while its write was on
+// the wire.
+var errTornDrain = errors.New("bb: drain torn by a node crash")
 
 // NodeTarget names buffer node i for sim.FaultPlan targeting ("bb0",
 // "bb1", ...). Foreign targets (the FS's "oss3") are ignored by the

@@ -25,7 +25,7 @@ func benchRound(b *testing.B, cfg Config) {
 		}
 		eng.Run()
 		for r := 0; r < ranks; r++ {
-			tier.WriteOp(r, files[r], 0, size, nil, func(err error) {
+			tier.Write(r, files[r], 0, size, nil, func(err error) {
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -45,7 +45,7 @@ func (r *rig) writeRound(t *testing.T, size int64, wantErr bool, done func(elaps
 	start := r.eng.Now()
 	left := len(r.files)
 	for i, f := range r.files {
-		r.tier.WriteOp(i, f, 0, size, nil, func(err error) {
+		r.tier.Write(i, f, 0, size, nil, func(err error) {
 			if !wantErr && err != nil {
 				t.Errorf("rank write failed: %v", err)
 			}
@@ -74,7 +74,7 @@ func directRoundTime(t *testing.T, ranks int, size int64) sim.Time {
 	start := eng.Now()
 	left := ranks
 	for i := range files {
-		clients[i].WriteOp(files[i], 0, size, nil, func(err error) {
+		clients[i].Write(files[i], 0, size, nil, func(err error) {
 			if err != nil {
 				t.Errorf("direct write failed: %v", err)
 			}
@@ -272,7 +272,7 @@ func TestWriteThroughCrashLosesNothing(t *testing.T) {
 	left := ranks
 	for i, f := range r.files {
 		i := i
-		r.tier.WriteOp(i, f, 0, size, nil, func(err error) {
+		r.tier.Write(i, f, 0, size, nil, func(err error) {
 			if err == nil {
 				okBytes += size
 			} else if !errors.Is(err, ErrNodeDown) {
@@ -344,7 +344,7 @@ func TestOversizedWriteBypasses(t *testing.T) {
 	r := newRig(t, cfg, 1, nil)
 	size := int64(1 << 20)
 	doneAt := sim.Time(-1)
-	r.tier.WriteOp(0, r.files[0], 0, size, nil, func(err error) {
+	r.tier.Write(0, r.files[0], 0, size, nil, func(err error) {
 		if err != nil {
 			t.Errorf("passthrough write failed: %v", err)
 		}

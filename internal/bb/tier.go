@@ -1,6 +1,7 @@
 package bb
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/flash"
@@ -115,9 +116,6 @@ func NewTier(fs *pfs.FS, cfg Config) *Tier {
 	return t
 }
 
-// Config returns the tier's effective (defaulted) configuration.
-func (t *Tier) Config() Config { return t.cfg }
-
 // Stats returns a copy of the tier's accounting so far.
 func (t *Tier) Stats() Stats { return t.stats }
 
@@ -131,30 +129,29 @@ func (t *Tier) Occupancy() float64 {
 	return float64(t.pendingPages) / float64(t.capPages*len(t.nodes))
 }
 
-// NodeFor reports which buffer node serves the given rank.
-func (t *Tier) NodeFor(rank int) int { return rank % len(t.nodes) }
-
 // pagesFor rounds a byte count up to whole flash pages.
 func (t *Tier) pagesFor(size int64) int {
 	ps := t.cfg.Flash.PageSize
 	return int((size + ps - 1) / ps)
 }
 
-// WriteOp routes one rank's checkpoint write through the buffer tier:
+// Write routes one rank's checkpoint write through the buffer tier:
 // ingest link → flash log append (write-back acks here; write-through
-// also forwards to the FS first). The stage timer accrues the buffer
-// hop (obs.StageNet ingest, obs.StageFlash program, obs.StageQueue
-// waits including backpressure stalls); done receives ErrNodeDown when
-// the node crashed before acknowledging, or the FS's error in
-// write-through/passthrough. Writes larger than a node's whole buffer
-// bypass to the FS unlogged (counted as passthrough).
-func (t *Tier) WriteOp(rank int, f *pfs.File, off, size int64, ot *obs.OpTimer, done func(error)) {
+// also forwards to the FS first). The stage timer ot (nil means
+// untimed) accrues the buffer hop (obs.StageNet ingest, obs.StageFlash
+// program, obs.StageQueue waits including backpressure stalls) and,
+// as with pfs.Client.Write, is left to the caller to observe; done
+// receives ErrNodeDown when the node crashed before acknowledging, or
+// the FS's error in write-through/passthrough. Writes larger than a
+// node's whole buffer bypass to the FS unlogged (counted as
+// passthrough).
+func (t *Tier) Write(rank int, f *pfs.File, off, size int64, ot *obs.OpTimer, done func(error)) {
 	n := t.nodes[rank%len(t.nodes)]
 	pages := t.pagesFor(size)
 	if pages > t.capPages {
 		t.stats.PassthroughBytes += size
 		t.cPassthrough.Add(size)
-		n.client.WriteOp(f, off, size, ot, done)
+		n.client.Write(f, off, size, ot, done)
 		return
 	}
 	t.admit(n, pages, ot, func() {
@@ -257,7 +254,7 @@ func (t *Tier) absorb(n *node, f *pfs.File, off, size int64, pages int, ot *obs.
 			if t.cfg.Mode == WriteThrough {
 				t.stats.ForwardedBytes += size
 				t.cForward.Add(size)
-				n.client.WriteOp(f, off, size, ot, func(err error) {
+				n.client.Write(f, off, size, ot, func(err error) {
 					t.release(n, pages)
 					done(err)
 				})
@@ -301,51 +298,53 @@ func (t *Tier) kickDrain(n *node) {
 			t.loseRecord(n, rec)
 			return
 		}
-		t.issueDrain(n, rec, epoch, 0, t.cfg.DrainRetryBackoff)
+		t.issueDrain(n, rec, epoch)
 	})
 }
 
 // issueDrain writes one record into the FS, retrying FS-side failures
-// with capped exponential backoff. A node crash while the write is on
-// the wire tears the drain: if the write landed anyway, its extent is
-// marked corrupt for checksums to catch; either way the data no longer
-// counts as cleanly drained.
-func (t *Tier) issueDrain(n *node, rec *record, epoch, attempt int, backoff sim.Time) {
-	maxBackoff := 8 * t.cfg.DrainRetryBackoff
-	var try func()
-	try = func() {
-		n.client.WriteOp(rec.f, rec.off, rec.size, nil, func(err error) {
+// with capped exponential backoff. The drain's write is untimed: its
+// latency belongs to no application op. A node crash while the write
+// is on the wire tears the drain, which is never retried: if the write
+// landed anyway, its extent is marked corrupt for checksums to catch;
+// either way the data no longer counts as cleanly drained.
+func (t *Tier) issueDrain(n *node, rec *record, epoch int) {
+	policy := sim.RetryPolicy{
+		MaxRetries:  t.cfg.MaxDrainRetries,
+		BaseBackoff: t.cfg.DrainRetryBackoff,
+		MaxBackoff:  8 * t.cfg.DrainRetryBackoff,
+	}
+	policy.Retry(t.eng, func(done func(error)) {
+		n.client.Write(rec.f, rec.off, rec.size, nil, func(err error) {
 			if n.epoch != epoch {
-				t.stats.TornDrains++
-				t.stats.TornBytes += rec.size
-				t.cTorn.Inc()
 				if err == nil {
 					t.fs.CorruptExtent(rec.f.Name(), rec.off, rec.size)
 				}
-				t.backlogBytes -= rec.size
-				t.release(n, rec.pages)
-				return
+				err = errTornDrain
 			}
-			if err != nil {
-				if attempt < t.cfg.MaxDrainRetries {
-					attempt++
-					t.stats.DrainRetries++
-					t.cDrainRetry.Inc()
-					d := backoff
-					if backoff *= 2; backoff > maxBackoff {
-						backoff = maxBackoff
-					}
-					t.eng.Schedule(d, try)
-					return
-				}
-				// The FS would not take it back: the drain is abandoned
-				// (counted, never silently lost) so the buffer frees up
-				// and the run completes through permanent FS failures.
-				t.stats.DroppedDrainBytes += rec.size
-				t.cDrainDrop.Add(rec.size)
-				t.finishDrain(n, rec)
-				return
-			}
+			done(err)
+		})
+	}, func(err error) bool {
+		return !errors.Is(err, errTornDrain)
+	}, func(sim.Time) {
+		t.stats.DrainRetries++
+		t.cDrainRetry.Inc()
+	}, func(err error) {
+		switch {
+		case errors.Is(err, errTornDrain):
+			t.stats.TornDrains++
+			t.stats.TornBytes += rec.size
+			t.cTorn.Inc()
+			t.backlogBytes -= rec.size
+			t.release(n, rec.pages)
+		case err != nil:
+			// The FS would not take it back: the drain is abandoned
+			// (counted, never silently lost) so the buffer frees up and
+			// the run completes through permanent FS failures.
+			t.stats.DroppedDrainBytes += rec.size
+			t.cDrainDrop.Add(rec.size)
+			t.finishDrain(n, rec)
+		default:
 			t.stats.DrainedOps++
 			t.stats.DrainedBytes += rec.size
 			t.cDrainOps.Inc()
@@ -357,9 +356,8 @@ func (t *Tier) issueDrain(n *node, rec *record, epoch, attempt int, backoff sim.
 				t.gMaxLag.Set(float64(lag))
 			}
 			t.finishDrain(n, rec)
-		})
-	}
-	try()
+		}
+	})
 }
 
 // finishDrain releases a completed (or abandoned) record and moves to

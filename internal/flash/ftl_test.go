@@ -145,7 +145,7 @@ func TestOutOfRangePanics(t *testing.T) {
 func TestSustainedRandomWriteDegrades(t *testing.T) {
 	// The Figure 14 / WISH'09 result: sustained random write starts near the
 	// fresh rate and degrades sharply once the pre-erased pool depletes.
-	res := SustainedRandomWrite(IntelX25M(), 1.0, 60, 1, 99)
+	res := SustainedRandomWrite(IntelX25M(), 1.0, 60, 1, 99, nil, "")
 	if len(res) < 5 {
 		t.Fatalf("too few windows: %d", len(res))
 	}
@@ -158,7 +158,7 @@ func TestSustainedRandomWriteDegrades(t *testing.T) {
 
 func TestHighOverprovisionDegradesLess(t *testing.T) {
 	degradation := func(spec Spec) float64 {
-		res := SustainedRandomWrite(spec, 1.0, 60, 1, 99)
+		res := SustainedRandomWrite(spec, 1.0, 60, 1, 99, nil, "")
 		return res[0].IOPS / res[len(res)-1].IOPS
 	}
 	sata := degradation(IntelX25M())

@@ -9,7 +9,7 @@ import (
 
 func TestInstrumentCountsFTLActivity(t *testing.T) {
 	reg := obs.NewRegistry()
-	res := SustainedRandomWriteProbed(smallSpec(), 1.0, 10, 1, 7, reg, "flash.dev00")
+	res := SustainedRandomWrite(smallSpec(), 1.0, 10, 1, 7, reg, "flash.dev00")
 	if len(res) == 0 {
 		t.Fatal("sustained write produced no measurement windows")
 	}
@@ -37,7 +37,7 @@ func TestInstrumentCountsFTLActivity(t *testing.T) {
 func TestInstrumentSeriesFollowWindows(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.EnableTimeSeries(0.5)
-	res := SustainedRandomWriteProbed(smallSpec(), 1.0, 10, 1, 7, reg, "flash.dev00")
+	res := SustainedRandomWrite(smallSpec(), 1.0, 10, 1, 7, reg, "flash.dev00")
 	s := reg.Snapshot()
 	pool := s.Series["flash.dev00.pool_depth"]
 	amp := s.Series["flash.dev00.write_amp"]
@@ -55,7 +55,7 @@ func TestProbedRunsAreDeterministic(t *testing.T) {
 	run := func() []byte {
 		reg := obs.NewRegistry()
 		reg.EnableTimeSeries(0.5)
-		SustainedRandomWriteProbed(smallSpec(), 1.0, 10, 1, 7, reg, "flash.dev00")
+		SustainedRandomWrite(smallSpec(), 1.0, 10, 1, 7, reg, "flash.dev00")
 		var buf bytes.Buffer
 		if err := reg.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -68,10 +68,11 @@ func TestProbedRunsAreDeterministic(t *testing.T) {
 }
 
 func TestUnprobedRunUnchanged(t *testing.T) {
-	// The probed variant with a nil registry must produce the identical
-	// sweep as the plain entry point.
-	plain := SustainedRandomWrite(smallSpec(), 1.0, 10, 1, 7)
-	probed := SustainedRandomWriteProbed(smallSpec(), 1.0, 10, 1, 7, nil, "")
+	// Probes, series included, must not change the sweep.
+	plain := SustainedRandomWrite(smallSpec(), 1.0, 10, 1, 7, nil, "")
+	reg := obs.NewRegistry()
+	reg.EnableTimeSeries(1)
+	probed := SustainedRandomWrite(smallSpec(), 1.0, 10, 1, 7, reg, "flash.dev00")
 	if len(plain) != len(probed) {
 		t.Fatalf("window counts differ: %d vs %d", len(plain), len(probed))
 	}

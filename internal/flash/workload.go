@@ -19,17 +19,12 @@ type SweepResult struct {
 // device's logical space for the given simulated duration, reporting IOPS
 // per measurement window. This regenerates Figure 14: the fresh-device
 // plateau, the cliff when the pre-erased pool drains, and the steady state
-// set by overprovisioning.
-func SustainedRandomWrite(spec Spec, spanFraction float64, duration, window sim.Time, seed int64) []SweepResult {
-	return SustainedRandomWriteProbed(spec, spanFraction, duration, window, seed, nil, "")
-}
-
-// SustainedRandomWriteProbed is SustainedRandomWrite with the device's
-// FTL probes registered under prefix in reg (both may be zero for an
-// unprobed run; the workload itself is unchanged either way). When the
-// registry has series enabled, the pool depth and write amplification
-// are also recorded as sim-time series per measurement window.
-func SustainedRandomWriteProbed(spec Spec, spanFraction float64, duration, window sim.Time, seed int64, reg *obs.Registry, prefix string) []SweepResult {
+// set by overprovisioning. The device's FTL probes register under prefix
+// in reg (both may be zero for an unprobed run; the workload itself is
+// unchanged either way); when the registry has series enabled, the pool
+// depth and write amplification are also recorded as sim-time series per
+// measurement window.
+func SustainedRandomWrite(spec Spec, spanFraction float64, duration, window sim.Time, seed int64, reg *obs.Registry, prefix string) []SweepResult {
 	d := NewDevice(spec)
 	d.Instrument(reg, prefix)
 	var tsPool, tsAmp *obs.TimeSeries

@@ -250,7 +250,7 @@ func RunStack(fsCfg pfs.Config, code Code, ranks int, bytesPerRank int64) []Resu
 	var base float64
 	for _, l := range levels {
 		cfg := AtLevel(code, ranks, bytesPerRank, l)
-		res := workload.RunPrograms(fsCfg, cfg.programs(fsCfg))
+		res := workload.RunPrograms(fsCfg, cfg.programs(fsCfg), nil, nil)
 		r := Result{Level: l, Config: cfg, Bandwidth: res.Bandwidth}
 		if l == Baseline {
 			base = res.Bandwidth

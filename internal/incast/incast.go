@@ -120,15 +120,11 @@ type experiment struct {
 	res Result
 }
 
-// Run executes the experiment and returns aggregate goodput.
-func Run(p Params) Result {
-	return RunProbed(p, nil, nil)
-}
-
-// RunProbed is Run with a metrics registry and tracer attached (either
-// may be nil). Rounds appear as spans on the "incast" category; drop,
-// timeout, and retransmit totals accumulate as counters.
-func RunProbed(p Params, reg *obs.Registry, tr *obs.Tracer) Result {
+// Run executes the experiment and returns aggregate goodput. reg and tr
+// (either may be nil) probe the run: rounds appear as spans on the
+// "incast" category; drop, timeout, and retransmit totals accumulate as
+// counters.
+func Run(p Params, reg *obs.Registry, tr *obs.Tracer) Result {
 	if err := p.validate(); err != nil {
 		panic(err)
 	}
@@ -362,21 +358,16 @@ func (e *experiment) finish(s *sender) {
 }
 
 // Sweep runs the experiment across sender counts and returns goodput per
-// point — the Figure 9 curves.
-func Sweep(counts []int, mutate func(*Params)) []Result {
-	return SweepProbed(counts, mutate, nil, nil)
-}
-
-// SweepProbed is Sweep with a metrics registry and tracer attached
-// (either may be nil); the points accumulate into the same registry.
-func SweepProbed(counts []int, mutate func(*Params), reg *obs.Registry, tr *obs.Tracer) []Result {
+// point — the Figure 9 curves. The points accumulate into the same
+// registry and tracer (either may be nil).
+func Sweep(counts []int, mutate func(*Params), reg *obs.Registry, tr *obs.Tracer) []Result {
 	out := make([]Result, 0, len(counts))
 	for _, n := range counts {
 		p := DefaultParams(n)
 		if mutate != nil {
 			mutate(&p)
 		}
-		out = append(out, RunProbed(p, reg, tr))
+		out = append(out, Run(p, reg, tr))
 	}
 	return out
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // Latency analytics: the opt-in attribution layer over the data path.
-// When the engine's registry has op timers enabled, every WriteErr/
-// ReadErr carries an obs.OpTimer through its pieces and folds it into
-// exact per-stage quantiles at completion; when sim-time series are
+// When the engine's registry has op timers enabled, StartWriteOp and
+// StartReadOp hand out an obs.OpTimer that Write and Read charge per
+// stage through their pieces, and FinishWriteOp/FinishReadOp fold it
+// into exact per-stage quantiles; when sim-time series are
 // enabled, a periodic sampler records per-OSS utilization, queue
 // depths, in-flight ops, and rebuild activity on a fixed window grid.
 // Neither exists on a default registry — disabled runs schedule the
@@ -56,10 +57,9 @@ func (fs *FS) armSeries(reg *obs.Registry, window float64) {
 }
 
 // StartWriteOp returns a stage timer for one logical write operation,
-// or nil when op timers are disabled. Callers that manage their own
-// retry loops (the fault-injected workload harness) start one timer per
-// logical op, pass it through WriteOp attempts, charge
-// obs.StageBackoff for retry delays, and fold it in with FinishWriteOp
+// or nil when op timers are disabled. Callers start one timer per
+// logical op, pass it to every Write attempt (a retry loop also charges
+// obs.StageBackoff for its delays), and fold it in with FinishWriteOp
 // on final success.
 func (fs *FS) StartWriteOp() *obs.OpTimer {
 	return fs.otWrite.Start(float64(fs.eng.Now()))

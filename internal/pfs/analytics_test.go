@@ -23,8 +23,11 @@ func TestAnalyticsQuantilesPopulated(t *testing.T) {
 	fs := New(eng, testConfig(4))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 4<<20, func() {
-			cl.Read(f, 0, 4<<20, nil)
+		wt := fs.StartWriteOp()
+		cl.Write(f, 0, 4<<20, wt, func(error) {
+			fs.FinishWriteOp(wt)
+			rt := fs.StartReadOp()
+			cl.Read(f, 0, 4<<20, rt, func(error) { fs.FinishReadOp(rt) })
 		})
 	})
 	eng.Run()
@@ -72,7 +75,7 @@ func TestAnalyticsSeriesPopulated(t *testing.T) {
 	fs := New(eng, testConfig(2))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 8<<20, nil)
+		cl.Write(f, 0, 8<<20, nil, nil)
 	})
 	eng.Run()
 	_ = fs
@@ -109,14 +112,16 @@ func TestAnalyticsDegradedReadAttributed(t *testing.T) {
 	var f *File
 	cl.Create("/d", func(h *File) {
 		f = h
-		cl.Write(h, 0, 4<<20, nil)
+		cl.Write(h, 0, 4<<20, nil, nil)
 	})
 	eng.Run()
 	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), eng.Now(), 0))
-	cl.ReadErr(f, 0, 4<<20, func(err error) {
+	rt := fs.StartReadOp()
+	cl.Read(f, 0, 4<<20, rt, func(err error) {
 		if err != nil {
 			t.Errorf("degraded read failed: %v", err)
 		}
+		fs.FinishReadOp(rt)
 	})
 	eng.Run()
 	if fs.FaultStats().DegradedReads == 0 {
@@ -137,7 +142,7 @@ func TestAnalyticsDisabledLeavesNoTrace(t *testing.T) {
 	fs := New(eng, testConfig(2))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 1<<20, func() { cl.Read(f, 0, 1<<20, nil) })
+		cl.Write(f, 0, 1<<20, nil, func(error) { cl.Read(f, 0, 1<<20, nil, nil) })
 	})
 	eng.Run()
 	s := reg.Snapshot()

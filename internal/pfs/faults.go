@@ -19,7 +19,7 @@ import (
 // of it is ordinary deterministic event traffic: same plan, same seed,
 // same trajectory.
 
-// ErrServerDown is returned by WriteErr/ReadErr completions when the
+// ErrServerDown is returned by Write/Read completions when the
 // operation's object storage server crashed before acknowledging, or —
 // for reads — when the piece's server is down and no redundancy group
 // can reconstruct it (always the case without Config.Redundancy).

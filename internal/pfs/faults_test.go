@@ -25,7 +25,7 @@ func TestWriteToCrashedServerTimesOut(t *testing.T) {
 	var gotErr error
 	var doneAt sim.Time
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 4096, func(err error) {
+		cl.Write(f, 0, 4096, nil, func(err error) {
 			gotErr = err
 			doneAt = eng.Now()
 		})
@@ -50,7 +50,7 @@ func TestFailedWriteDoesNotGrowFile(t *testing.T) {
 	var f *File
 	cl.Create("/f", func(h *File) {
 		f = h
-		cl.WriteErr(h, 0, 1<<20, func(error) {})
+		cl.Write(h, 0, 1<<20, nil, func(error) {})
 	})
 	eng.Run()
 	if f.Size() != 0 {
@@ -69,7 +69,7 @@ func TestCrashMidWriteFailsInFlightOp(t *testing.T) {
 	cl := fs.NewClient(0)
 	var gotErr error
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 8<<20, func(err error) { gotErr = err })
+		cl.Write(f, 0, 8<<20, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if !errors.Is(gotErr, ErrServerDown) {
@@ -96,7 +96,7 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 		var f *File
 		cl.Create("/f", func(h *File) {
 			f = h
-			cl.Write(h, 0, 4<<20, nil)
+			cl.Write(h, 0, 4<<20, nil, nil)
 		})
 		eng.Run()
 		if crash {
@@ -105,7 +105,7 @@ func TestDegradedReadServedBySurvivorAtPenalty(t *testing.T) {
 			fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), eng.Now(), 0))
 		}
 		start := eng.Now()
-		cl.ReadErr(f, 0, 4<<20, func(e error) {
+		cl.Read(f, 0, 4<<20, nil, func(e error) {
 			elapsed = eng.Now() - start
 			err = e
 		})
@@ -148,7 +148,7 @@ func TestAllServersDownReadFails(t *testing.T) {
 			var f *File
 			cl.Create("/f", func(h *File) {
 				f = h
-				cl.Write(h, 0, 1<<20, nil)
+				cl.Write(h, 0, 1<<20, nil, nil)
 			})
 			eng.Run()
 			plan := sim.NewFaultPlan()
@@ -158,7 +158,7 @@ func TestAllServersDownReadFails(t *testing.T) {
 			fs.InjectFaults(plan)
 			before := reg.Snapshot().Counters["pfs.faults.failed_ops"]
 			var gotErr error
-			cl.ReadErr(f, 0, tc.size, func(err error) { gotErr = err })
+			cl.Read(f, 0, tc.size, nil, func(err error) { gotErr = err })
 			eng.Run()
 			if !errors.Is(gotErr, ErrServerDown) {
 				t.Fatalf("err = %v, want ErrServerDown", gotErr)
@@ -186,8 +186,8 @@ func TestLeaseExpiryDelaysNextWriter(t *testing.T) {
 	cl0, cl1 := fs.NewClient(0), fs.NewClient(1)
 	var doneAt sim.Time
 	cl0.Create("/f", func(f *File) {
-		cl0.WriteErr(f, 0, 4096, func(error) {})
-		cl1.WriteErr(f, 0, 4096, func(error) { doneAt = eng.Now() })
+		cl0.Write(f, 0, 4096, nil, func(error) {})
+		cl1.Write(f, 0, 4096, nil, func(error) { doneAt = eng.Now() })
 	})
 	eng.Run()
 	if fs.FaultStats().LeaseExpiries == 0 {
@@ -209,7 +209,7 @@ func TestRecoveredServerServesWrites(t *testing.T) {
 	cl := fs.NewClient(0)
 	var gotErr = errors.New("never completed")
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 1<<20, func(err error) { gotErr = err })
+		cl.Write(f, 0, 1<<20, nil, func(err error) { gotErr = err })
 	})
 	eng.Run()
 	if gotErr != nil {
@@ -230,7 +230,7 @@ func TestFaultCountersAppearInSnapshot(t *testing.T) {
 	fs.InjectFaults(sim.NewFaultPlan().Add(OSSTarget(0), 0, sim.Time(10e-3)))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.WriteErr(f, 0, 1<<20, func(error) {})
+		cl.Write(f, 0, 1<<20, nil, func(error) {})
 	})
 	eng.Run()
 	s := reg.Snapshot()
@@ -268,8 +268,8 @@ func TestNoFaultsRunIsByteIdenticalWithFaultLayerPresent(t *testing.T) {
 		fs := New(eng, cfg)
 		cl := fs.NewClient(0)
 		cl.Create("/f", func(f *File) {
-			cl.Write(f, 0, 8<<20, func() {
-				cl.Read(f, 0, 8<<20, nil)
+			cl.Write(f, 0, 8<<20, nil, func(error) {
+				cl.Read(f, 0, 8<<20, nil, nil)
 			})
 		})
 		eng.Run()

@@ -31,7 +31,7 @@ import (
 // allocating, no integrity metrics are registered, and the event
 // trajectory is byte-identical to a build without it.
 
-// ErrCorruptData is returned by ReadErr completions when a checksum
+// ErrCorruptData is returned by Read completions when a checksum
 // mismatch cannot be repaired: the file system has no redundancy, or
 // fewer than k members of the unit's group are live to reconstruct it.
 var ErrCorruptData = errors.New("pfs: unrecoverable corrupt data")

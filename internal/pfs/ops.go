@@ -32,9 +32,6 @@ func (fs *FS) NewClient(id int) *Client {
 	return &Client{fs: fs, id: id, nic: sim.NewServer(fs.eng, 1)}
 }
 
-// ID returns the client id.
-func (c *Client) ID() int { return c.id }
-
 // parentDir returns the directory component of a path.
 func parentDir(name string) string {
 	for i := len(name) - 1; i >= 0; i-- {
@@ -156,57 +153,21 @@ func split(off, size, unit int64) []subOp {
 	return out
 }
 
-// Write writes [off, off+size) and calls done at completion. The path per
-// stripe unit is: client NIC transfer -> RPC latency -> stripe lock
-// acquisition (revoke if another client owns it) -> server NIC -> disk
-// write, with read-modify-write if the piece does not cover its unit.
-// Write ignores server failures; fault-aware callers use WriteErr.
-func (c *Client) Write(f *File, off, size int64, done func()) {
-	if done == nil {
-		c.WriteErr(f, off, size, nil)
-		return
-	}
-	c.WriteErr(f, off, size, func(error) { done() }) //lint:allow errflow -- Write is the fault-blind variant; its doc sends fault-aware callers to WriteErr
-}
-
-// WriteErr is Write with failure reporting: done receives ErrServerDown
-// when any piece's server crashed before acknowledging. The file size
-// only advances on full success, so a failed checkpoint write leaves no
-// phantom extent. Fault-free runs follow the exact event sequence of
-// Write — the error plumbing costs a nil comparison per piece. When op
-// timers are enabled the write carries a stage timer, observed into the
-// pfs.write quantiles on success.
-func (c *Client) WriteErr(f *File, off, size int64, done func(error)) {
-	set := c.fs.otWrite
-	if set == nil {
-		c.WriteOp(f, off, size, nil, done)
-		return
-	}
-	ot := c.fs.StartWriteOp()
-	c.WriteOp(f, off, size, ot, func(err error) {
-		if err == nil {
-			c.fs.FinishWriteOp(ot)
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-// WriteOp is WriteErr with a caller-owned stage timer: ot (which may be
-// nil) accumulates per-stage sim-time but is NOT observed at
-// completion, so a retry loop can carry one timer across attempts and
-// fold it in once via FinishWriteOp. The event trajectory is identical
-// to WriteErr's.
-func (c *Client) WriteOp(f *File, off, size int64, ot *obs.OpTimer, done func(error)) {
+// begin is the preamble Write and Read share: it splits [off, off+size)
+// into stripe-unit pieces and returns them with the callback each piece
+// calls once on arrival. After the last arrival done (nil allowed)
+// receives the first piece error; a write, which passes its file as
+// grow, first extends the file when every piece succeeded. An empty
+// range has no pieces and completes with nil at once.
+func (c *Client) begin(name string, grow *fileState, off, size int64, done func(error)) ([]subOp, func(error)) {
+	fs := c.fs
 	if size <= 0 {
 		if done != nil {
-			c.fs.eng.Schedule(0, func() { done(nil) })
+			fs.eng.Schedule(0, func() { done(nil) })
 		}
-		return
+		return nil, nil
 	}
-	fs := c.fs
-	done = c.traceIOSpan("write", off, size, done)
+	done = c.traceIOSpan(name, off, size, done)
 	pieces := split(off, size, fs.Cfg.StripeUnit)
 	track := fs.tsOn
 	if track {
@@ -217,10 +178,8 @@ func (c *Client) WriteOp(f *File, off, size int64, ot *obs.OpTimer, done func(er
 		if track {
 			fs.inflight--
 		}
-		if firstErr == nil {
-			if end := off + size; end > f.st.size {
-				f.st.size = end
-			}
+		if firstErr == nil && grow != nil && off+size > grow.size {
+			grow.size = off + size
 		}
 		if done != nil {
 			done(firstErr)
@@ -232,6 +191,23 @@ func (c *Client) WriteOp(f *File, off, size int64, ot *obs.OpTimer, done func(er
 		}
 		barrier.Arrive()
 	}
+	return pieces, arrive
+}
+
+// Write writes [off, off+size) and calls done (nil allowed) at
+// completion. The path per stripe unit is: client NIC transfer -> RPC
+// latency -> stripe lock acquisition (revoke if another client owns it)
+// -> server NIC -> disk write, with read-modify-write if the piece does
+// not cover its unit. done receives ErrServerDown when any piece's
+// server crashed before acknowledging; the file size only advances on
+// full success, so a failed checkpoint write leaves no phantom extent.
+// ot (nil means untimed) accrues per-stage sim-time but is not observed
+// at completion: callers that want the pfs.write quantiles bracket the
+// call with StartWriteOp and FinishWriteOp, and a retry loop carries
+// one timer across its attempts.
+func (c *Client) Write(f *File, off, size int64, ot *obs.OpTimer, done func(error)) {
+	fs := c.fs
+	pieces, arrive := c.begin("write", f.st, off, size, done)
 	for _, p := range pieces {
 		p := p
 		// The client's link serializes its own pieces.
@@ -357,71 +333,17 @@ func (s *server) write(fs *FS, st *fileState, p subOp, ot *obs.OpTimer, done fun
 	})
 }
 
-// Read reads [off, off+size) and calls done at completion. Reads skip the
-// lock manager and RMW but follow the same network/disk path. Read
-// ignores server failures; fault-aware callers use ReadErr.
-func (c *Client) Read(f *File, off, size int64, done func()) {
-	if done == nil {
-		c.ReadErr(f, off, size, nil)
-		return
-	}
-	c.ReadErr(f, off, size, func(error) { done() }) //lint:allow errflow -- Read is the fault-blind variant; its doc sends fault-aware callers to ReadErr
-}
-
-// ReadErr is Read with failure reporting. A piece whose home server is
-// down is reconstructed from k live members of its redundancy group;
-// done receives ErrServerDown when nothing can serve it (always, without
-// redundancy), ErrDataLoss when its group lost more than m members, and
-// ErrCorruptData when a checksum mismatch cannot be repaired.
-// When op timers are enabled the read carries a stage timer, observed
-// into the pfs.read quantiles on success.
-func (c *Client) ReadErr(f *File, off, size int64, done func(error)) {
-	set := c.fs.otRead
-	if set == nil {
-		c.ReadOp(f, off, size, nil, done)
-		return
-	}
-	ot := c.fs.StartReadOp()
-	c.ReadOp(f, off, size, ot, func(err error) {
-		if err == nil {
-			c.fs.FinishReadOp(ot)
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-// ReadOp is ReadErr with a caller-owned stage timer (see WriteOp).
-func (c *Client) ReadOp(f *File, off, size int64, ot *obs.OpTimer, done func(error)) {
-	if size <= 0 {
-		if done != nil {
-			c.fs.eng.Schedule(0, func() { done(nil) })
-		}
-		return
-	}
+// Read reads [off, off+size) and calls done (nil allowed) at
+// completion. Reads skip the lock manager and RMW but follow the same
+// network/disk path. A piece whose home server is down is reconstructed
+// from k live members of its redundancy group; done receives
+// ErrServerDown when nothing can serve it (always, without redundancy),
+// ErrDataLoss when its group lost more than m members, and
+// ErrCorruptData when a checksum mismatch cannot be repaired. ot works
+// as in Write, bracketed by StartReadOp and FinishReadOp.
+func (c *Client) Read(f *File, off, size int64, ot *obs.OpTimer, done func(error)) {
 	fs := c.fs
-	done = c.traceIOSpan("read", off, size, done)
-	pieces := split(off, size, fs.Cfg.StripeUnit)
-	track := fs.tsOn
-	if track {
-		fs.inflight++
-	}
-	var firstErr error
-	barrier := sim.NewBarrier(fs.eng, len(pieces), func(sim.Time) {
-		if track {
-			fs.inflight--
-		}
-		if done != nil {
-			done(firstErr)
-		}
-	})
-	arrive := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		barrier.Arrive()
-	}
+	pieces, arrive := c.begin("read", nil, off, size, done)
 	for _, p := range pieces {
 		p := p
 		ot.Add(obs.StageRPC, float64(fs.Cfg.RPCLatency))

@@ -52,12 +52,12 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 	cl := fs.NewClient(0)
 	var wrote, read bool
 	cl.Create("/ckpt", func(f *File) {
-		cl.Write(f, 0, 1<<20, func() {
+		cl.Write(f, 0, 1<<20, nil, func(error) {
 			wrote = true
 			if f.Size() != 1<<20 {
 				t.Errorf("Size = %d, want %d", f.Size(), 1<<20)
 			}
-			cl.Read(f, 0, 1<<20, func() { read = true })
+			cl.Read(f, 0, 1<<20, nil, func(error) { read = true })
 		})
 	})
 	eng.Run()
@@ -77,8 +77,8 @@ func TestWriteGrowsFileMonotonically(t *testing.T) {
 	fs := New(eng, testConfig(2))
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 100, 50, nil)
-		cl.Write(f, 0, 10, nil) // does not shrink
+		cl.Write(f, 100, 50, nil, nil)
+		cl.Write(f, 0, 10, nil, nil) // does not shrink
 	})
 	eng.Run()
 	cl2 := fs.NewClient(1)
@@ -96,8 +96,8 @@ func TestZeroSizeOpsCompleteImmediately(t *testing.T) {
 	cl := fs.NewClient(0)
 	calls := 0
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 0, func() { calls++ })
-		cl.Read(f, 0, 0, func() { calls++ })
+		cl.Write(f, 0, 0, nil, func(error) { calls++ })
+		cl.Read(f, 0, 0, nil, func(error) { calls++ })
 	})
 	eng.Run()
 	if calls != 2 {
@@ -131,7 +131,7 @@ func aggregateWrite(t *testing.T, cfg Config, nClients int, perClient int64, rec
 			} else {
 				off = i * recSize
 			}
-			cl.Write(f, off, recSize, func() { issue(i + 1) })
+			cl.Write(f, off, recSize, nil, func(error) { issue(i + 1) })
 		}
 		issue(0)
 	}
@@ -210,7 +210,7 @@ func TestServerUtilizationBalancedUnderStriping(t *testing.T) {
 	fs := New(eng, cfg)
 	cl := fs.NewClient(0)
 	cl.Create("/big", func(f *File) {
-		cl.Write(f, 0, 64<<20, nil)
+		cl.Write(f, 0, 64<<20, nil, nil)
 	})
 	eng.Run()
 	utils := fs.ServerUtilizations()
@@ -234,7 +234,7 @@ func TestReadOfHoleCostsNoDiskTime(t *testing.T) {
 	cl := fs.NewClient(0)
 	var done bool
 	cl.Create("/sparse", func(f *File) {
-		cl.Read(f, 10<<20, 4096, func() { done = true })
+		cl.Read(f, 10<<20, 4096, nil, func(error) { done = true })
 	})
 	eng.Run()
 	if !done {

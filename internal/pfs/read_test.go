@@ -17,7 +17,7 @@ func aggregateRead(t *testing.T, cfg Config, nClients int, perClient, recSize in
 	written := 0
 	populate := func(name string, size int64, then func(*File)) {
 		writer.Create(name, func(f *File) {
-			writer.Write(f, 0, size, func() { written++; then(f) })
+			writer.Write(f, 0, size, nil, func(error) { written++; then(f) })
 		})
 	}
 	var start, end sim.Time
@@ -36,7 +36,7 @@ func aggregateRead(t *testing.T, cfg Config, nClients int, perClient, recSize in
 			} else {
 				off = i * recSize
 			}
-			cl.Read(f, off, recSize, func() { issue(i + 1) })
+			cl.Read(f, off, recSize, nil, func(error) { issue(i + 1) })
 		}
 		issue(0)
 	}
@@ -89,14 +89,14 @@ func TestSharedReadsNeedNoLockRevokes(t *testing.T) {
 	fs := New(eng, cfg)
 	cl := fs.NewClient(0)
 	cl.Create("/f", func(f *File) {
-		cl.Write(f, 0, 4<<20, func() {
+		cl.Write(f, 0, 4<<20, nil, func(error) {
 			before := fs.LockRevokes()
 			readers := make([]*Client, 4)
 			for i := range readers {
 				readers[i] = fs.NewClient(i + 1)
 			}
 			for i, r := range readers {
-				r.Read(f, int64(i)*47008, 47008, nil)
+				r.Read(f, int64(i)*47008, 47008, nil, nil)
 			}
 			eng.Schedule(0, func() {
 				_ = before

@@ -27,7 +27,7 @@ import (
 // panic. With the zero Redundancy value none of this exists: the file
 // system keeps no redundancy, and data on a down server is unreadable.
 
-// ErrDataLoss is returned by ReadErr completions when more than m
+// ErrDataLoss is returned by Read completions when more than m
 // members of the piece's redundancy group are concurrently failed —
 // fewer than k survivors remain, so nothing can reconstruct the data.
 var ErrDataLoss = errors.New("pfs: data loss: redundancy group lost more than m members")

@@ -226,102 +226,49 @@ type Program struct {
 	Ops     []Op
 }
 
-// RunPrograms executes arbitrary per-rank programs against a fresh file
-// system built from cfg: all creates complete (a barrier), then every rank
-// runs its op sequence, and Elapsed covers the write phase. TotalBytes
-// sums op sizes.
-func RunPrograms(cfg pfs.Config, progs []Program) Result {
-	return RunProgramsProbed(cfg, progs, nil, nil)
+// setPayload records the spec and the payload bytes a run moved, and
+// the aggregate bandwidth they imply over Elapsed.
+func (r *Result) setPayload(spec Spec, bytes int64) {
+	r.Spec = spec
+	r.TotalBytes = bytes
+	if r.Elapsed > 0 {
+		r.Bandwidth = float64(bytes) / float64(r.Elapsed)
+	}
 }
 
-// RunProgramsProbed is RunPrograms with an observability probe: the
-// metrics registry and tracer (either may be nil) are attached to the
-// engine before the model is built, so every substrate's instruments
-// land in them. Runs are deterministic, so two probed runs of the same
-// programs produce byte-identical metrics snapshots.
-func RunProgramsProbed(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tracer) Result {
-	eng := sim.NewEngine()
-	eng.Instrument(reg, tr)
-	fs := pfs.New(eng, cfg)
-
-	clients := make([]*pfs.Client, len(progs))
-	for r := range clients {
-		clients[r] = fs.NewClient(r)
-	}
-
-	var result Result
-	var phaseStart sim.Time
-	runWrites := func() {
-		phaseStart = eng.Now()
-		result.SetupElapsed = phaseStart
-		finished := sim.NewBarrier(eng, len(progs), func(at sim.Time) {
-			result.Elapsed = at - phaseStart
-		})
-		for r := range progs {
-			r := r
-			ops := progs[r].Ops
-			handles := make(map[string]*pfs.File)
-			var issue func(i int)
-			issue = func(i int) {
-				if i == len(ops) {
-					finished.Arrive()
-					return
-				}
-				o := ops[i]
-				perform := func(h *pfs.File) {
-					// Compute (e.g. compression) precedes the I/O.
-					if o.Read {
-						clients[r].Read(h, o.Off, o.Size, func() { issue(i + 1) })
-					} else {
-						clients[r].Write(h, o.Off, o.Size, func() { issue(i + 1) })
-					}
-				}
-				withCPU := func(h *pfs.File) {
-					if o.CPU > 0 {
-						eng.Schedule(o.CPU, func() { perform(h) })
-						return
-					}
-					perform(h)
-				}
-				f, ok := handles[o.File]
-				if !ok {
-					clients[r].Open(o.File, func(h *pfs.File) {
-						handles[o.File] = h
-						withCPU(h)
-					})
-					return
-				}
-				withCPU(f)
-			}
-			issue(0)
-		}
-	}
-
-	var toCreate int
+// specPrograms returns every rank's program for one checkpoint phase of
+// spec: its creates, then its writes.
+func specPrograms(spec Spec, unit int64) []Program {
+	progs := make([]Program, spec.Ranks)
 	for r := range progs {
-		toCreate += len(progs[r].Creates)
+		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, unit, r)}
 	}
-	if toCreate == 0 {
-		runWrites()
-	} else {
-		created := sim.NewBarrier(eng, toCreate, func(sim.Time) { runWrites() })
-		for r := range progs {
-			for _, name := range progs[r].Creates {
-				clients[r].Create(name, func(*pfs.File) { created.Arrive() })
-			}
-		}
-	}
+	return progs
+}
 
-	eng.Run()
+// RunPrograms executes arbitrary per-rank programs against a fresh file
+// system built from cfg: all creates complete (a barrier), then every rank
+// runs its op sequence, and Elapsed covers the op phase. TotalBytes
+// sums op sizes. The metrics registry and tracer (either may be nil) are
+// attached to the engine before the model is built, so every substrate's
+// instruments land in them; runs are deterministic, so two probed runs
+// of the same programs produce byte-identical metrics snapshots.
+func RunPrograms(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tracer) Result {
+	runner, run := newPhaseRunner(0, cfg, len(progs), reg, tr)
+	var result Result
+	runner.create(progs, func() {
+		result.SetupElapsed = runner.eng.Now()
+		runner.phase(progs, func(elapsed sim.Time) { result.Elapsed = elapsed })
+	})
+	run()
+	var total int64
 	for _, p := range progs {
 		for _, o := range p.Ops {
-			result.TotalBytes += o.Size
+			total += o.Size
 		}
 	}
-	if result.Elapsed > 0 {
-		result.Bandwidth = float64(result.TotalBytes) / float64(result.Elapsed)
-	}
-	result.MetadataOps = fs.MetadataOps()
+	result.setPayload(Spec{}, total)
+	result.MetadataOps = runner.fs.MetadataOps()
 	return result
 }
 
@@ -329,28 +276,15 @@ func RunProgramsProbed(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *o
 // and returns the timing result. The phase is: all ranks create their
 // files (the shared-file patterns create once), barrier, all ranks issue
 // their ops synchronously (each rank waits for its previous op), barrier.
-func Run(cfg pfs.Config, spec Spec) Result {
-	return RunProbed(cfg, spec, nil, nil)
-}
-
-// RunProbed is Run with a metrics registry and tracer attached (either
-// may be nil).
-func RunProbed(cfg pfs.Config, spec Spec, reg *obs.Registry, tr *obs.Tracer) Result {
+// reg and tr (either may be nil) probe the run as in RunPrograms.
+func Run(cfg pfs.Config, spec Spec, reg *obs.Registry, tr *obs.Tracer) Result {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
-	}
-	result := RunProgramsProbed(cfg, progs, reg, tr)
-	result.Spec = spec
+	result := RunPrograms(cfg, specPrograms(spec, cfg.StripeUnit), reg, tr)
 	// Per-spec accounting: payload is BytesPerRank per rank (PLFS ops also
 	// include index bytes; report payload).
-	result.TotalBytes = int64(spec.Ranks) * spec.BytesPerRank
-	if result.Elapsed > 0 {
-		result.Bandwidth = float64(result.TotalBytes) / float64(result.Elapsed)
-	}
+	result.setPayload(spec, int64(spec.Ranks)*spec.BytesPerRank)
 	return result
 }
 
@@ -364,12 +298,12 @@ func Speedup(cfg pfs.Config, ranks int, bytesPerRank, recordSize int64) (direct,
 		RecordSize:   recordSize,
 		Pattern:      N1Strided,
 	}
-	direct = Run(cfg, base)
+	direct = Run(cfg, base, nil, nil)
 	p := base
 	p.Pattern = PLFSPattern
 	p.PLFSHostdirs = 32
 	p.PLFSIndexFlushEvery = 64
-	viaPLFS = Run(cfg, p)
+	viaPLFS = Run(cfg, p, nil, nil)
 	if direct.Bandwidth > 0 {
 		ratio = viaPLFS.Bandwidth / direct.Bandwidth
 	}

@@ -108,7 +108,7 @@ func TestPLFSOpsSplitDataAndIndex(t *testing.T) {
 }
 
 func TestRunProducesPositiveBandwidth(t *testing.T) {
-	res := Run(cfg(), Spec{Ranks: 4, BytesPerRank: 1 << 20, RecordSize: 47008, Pattern: N1Strided})
+	res := Run(cfg(), Spec{Ranks: 4, BytesPerRank: 1 << 20, RecordSize: 47008, Pattern: N1Strided}, nil, nil)
 	if res.Elapsed <= 0 || res.Bandwidth <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -135,9 +135,10 @@ func TestPLFSWithinFactorOfNN(t *testing.T) {
 	// PLFS turns N-1 into N-N plus index overhead; it should land within a
 	// small factor of native N-N bandwidth.
 	c := cfg()
-	nn := Run(c, Spec{Ranks: 8, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: NN})
+	nn := Run(c, Spec{Ranks: 8, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: NN}, nil, nil)
 	pl := Run(c, Spec{Ranks: 8, BytesPerRank: 4 << 20, RecordSize: 47008,
-		Pattern: PLFSPattern, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64})
+		Pattern: PLFSPattern, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64}, nil, nil)
+
 	if pl.Bandwidth < nn.Bandwidth/3 {
 		t.Fatalf("PLFS %.0f B/s should be within 3x of N-N %.0f B/s", pl.Bandwidth, nn.Bandwidth)
 	}
@@ -145,8 +146,8 @@ func TestPLFSWithinFactorOfNN(t *testing.T) {
 
 func TestSegmentedBetweenStridedAndNN(t *testing.T) {
 	c := cfg()
-	strided := Run(c, Spec{Ranks: 8, BytesPerRank: 2 << 20, RecordSize: 47008, Pattern: N1Strided})
-	seg := Run(c, Spec{Ranks: 8, BytesPerRank: 2 << 20, RecordSize: 47008, Pattern: N1Segmented})
+	strided := Run(c, Spec{Ranks: 8, BytesPerRank: 2 << 20, RecordSize: 47008, Pattern: N1Strided}, nil, nil)
+	seg := Run(c, Spec{Ranks: 8, BytesPerRank: 2 << 20, RecordSize: 47008, Pattern: N1Segmented}, nil, nil)
 	if seg.Bandwidth <= strided.Bandwidth {
 		t.Fatalf("segmented %.0f should beat strided %.0f", seg.Bandwidth, strided.Bandwidth)
 	}
@@ -156,8 +157,8 @@ func TestWeakScalingChekpointTimeGrows(t *testing.T) {
 	// Figure 2's shape: with per-rank state fixed, N-1 strided checkpoint
 	// time grows with rank count (the storage system is the bottleneck).
 	c := cfg()
-	t4 := Run(c, Spec{Ranks: 4, BytesPerRank: 1 << 20, RecordSize: 47008, Pattern: N1Strided}).Elapsed
-	t16 := Run(c, Spec{Ranks: 16, BytesPerRank: 1 << 20, RecordSize: 47008, Pattern: N1Strided}).Elapsed
+	t4 := Run(c, Spec{Ranks: 4, BytesPerRank: 1 << 20, RecordSize: 47008, Pattern: N1Strided}, nil, nil).Elapsed
+	t16 := Run(c, Spec{Ranks: 16, BytesPerRank: 1 << 20, RecordSize: 47008, Pattern: N1Strided}, nil, nil).Elapsed
 	if t16 <= t4 {
 		t.Fatalf("weak scaling time should grow: 4 ranks %v, 16 ranks %v", t4, t16)
 	}
@@ -165,8 +166,8 @@ func TestWeakScalingChekpointTimeGrows(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	s := Spec{Ranks: 4, BytesPerRank: 1 << 20, RecordSize: 4096, Pattern: N1Strided}
-	a := Run(cfg(), s)
-	b := Run(cfg(), s)
+	a := Run(cfg(), s, nil, nil)
+	b := Run(cfg(), s, nil, nil)
 	if a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
 	}
@@ -178,7 +179,7 @@ func TestInvalidSpecPanics(t *testing.T) {
 			t.Fatal("Run with invalid spec did not panic")
 		}
 	}()
-	Run(cfg(), Spec{})
+	Run(cfg(), Spec{}, nil, nil)
 }
 
 func TestCompressionSpeedsUpIOBoundCheckpoint(t *testing.T) {
@@ -189,8 +190,8 @@ func TestCompressionSpeedsUpIOBoundCheckpoint(t *testing.T) {
 	comp := base
 	comp.CompressRatio = 2
 	comp.CompressBW = 500e6
-	plain := Run(cfg(), base)
-	squeezed := Run(cfg(), comp)
+	plain := Run(cfg(), base, nil, nil)
+	squeezed := Run(cfg(), comp, nil, nil)
 	if squeezed.Elapsed >= plain.Elapsed {
 		t.Fatalf("2x compression elapsed %v should beat uncompressed %v",
 			squeezed.Elapsed, plain.Elapsed)
@@ -205,8 +206,8 @@ func TestCompressionWithSlowCPUCanLose(t *testing.T) {
 	slow := base
 	slow.CompressRatio = 2
 	slow.CompressBW = 5e6 // 5 MB/s compressor
-	plain := Run(cfg(), base)
-	choked := Run(cfg(), slow)
+	plain := Run(cfg(), base, nil, nil)
+	choked := Run(cfg(), slow, nil, nil)
 	if choked.Elapsed <= plain.Elapsed {
 		t.Fatalf("a 5 MB/s compressor (%v) should lose to no compression (%v)",
 			choked.Elapsed, plain.Elapsed)

@@ -85,24 +85,8 @@ func (s FaultSpec) Validate() error {
 	return nil
 }
 
-// newSimulation builds the event substrate for a harness run: a plain
-// instrumented engine when shards == 0 (the legacy path every golden
-// snapshot pins), or shard 0 of a decoupled sim.Cluster — infinite
-// lookahead, since a single-domain model never sends — whose run
-// function drives the windowed coordinator.
-func newSimulation(shards int, reg *obs.Registry, tr *obs.Tracer) (*sim.Engine, func() sim.Time) {
-	if shards <= 0 {
-		eng := sim.NewEngine()
-		eng.Instrument(reg, tr)
-		return eng, eng.Run
-	}
-	cl := sim.NewCluster(shards, sim.Infinity)
-	cl.Instrument(reg, tr)
-	return cl.Shard(0), cl.Run
-}
-
 // faulty reports whether any fault machinery is active; a non-faulty run
-// must stay byte-identical to RunProgramsProbed of the same phases, so
+// must stay byte-identical to RunPrograms of the same phases, so
 // even the fault counters are only registered when this is true.
 func (s FaultSpec) faulty() bool {
 	return s.Plan.Len() > 0 || s.MaxRetries > 0
@@ -150,26 +134,24 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	if err := fspec.Validate(); err != nil {
 		panic(err)
 	}
-	eng, run := newSimulation(fspec.Shards, reg, tr)
-	fs := pfs.New(eng, cfg)
-	var tier *bb.Tier
-	if fspec.BB != nil {
-		tier = bb.NewTier(fs, *fspec.BB)
-	}
-	if tier == nil {
+	spec := fspec.Spec
+	runner, run := newPhaseRunner(fspec.Shards, cfg, spec.Ranks, reg, tr)
+	eng, fs := runner.eng, runner.fs
+	if fspec.BB == nil {
 		if err := fs.InjectFaults(fspec.Plan); err != nil {
 			panic(err)
 		}
 	} else {
+		runner.tier = bb.NewTier(fs, *fspec.BB)
 		// One plan drives both layers; scheduling it once through a
 		// fan-out keeps the sim.faults.* counters and trace exact.
-		if err := fspec.Plan.Schedule(eng, sim.FanoutSink{fs, tier}); err != nil {
+		if err := fspec.Plan.Schedule(eng, sim.FanoutSink{fs, runner.tier}); err != nil {
 			panic(err)
 		}
 	}
 
 	// Fault-path instruments exist only on faulty runs so that a
-	// fault-free run's snapshot matches RunProgramsProbed exactly.
+	// fault-free run's snapshot matches RunPrograms exactly.
 	var cRetries, cDropped, cRounds *obs.Counter
 	if fspec.faulty() && reg != nil {
 		cRetries = reg.Counter("workload.ckpt.retries")
@@ -177,166 +159,36 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 		cRounds = reg.Counter("workload.ckpt.rounds")
 	}
 
-	spec := fspec.Spec
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
-	}
-	clients := make([]*pfs.Client, len(progs))
-	handles := make([]map[string]*pfs.File, len(progs))
-	for r := range clients {
-		clients[r] = fs.NewClient(r)
-		handles[r] = make(map[string]*pfs.File)
-	}
-
-	result := FaultResult{Checkpoints: fspec.Checkpoints, ComputeTime: fspec.ComputeTime}
 	maxBackoff := fspec.MaxBackoff
 	if maxBackoff <= 0 {
 		maxBackoff = fspec.RetryBackoff
 	}
+	runner.retry = sim.RetryPolicy{MaxRetries: fspec.MaxRetries, BaseBackoff: fspec.RetryBackoff, MaxBackoff: maxBackoff}
 
-	runPhase := func(phaseDone func(elapsed sim.Time)) {
-		phaseStart := eng.Now()
-		finished := sim.NewBarrier(eng, len(progs), func(at sim.Time) {
-			phaseDone(at - phaseStart)
-		})
-		for r := range progs {
-			r := r
-			ops := progs[r].Ops
-			var issue func(i int)
-			issue = func(i int) {
-				if i == len(ops) {
-					finished.Arrive()
-					return
-				}
-				o := ops[i]
-				perform := func(h *pfs.File) {
-					attempt := 0
-					backoff := fspec.RetryBackoff
-					// One stage timer spans the whole logical op — every
-					// attempt's stages plus the backoff between them — and is
-					// observed once, on final success. Dropped ops never fold
-					// in, so the quantiles describe completed operations. Nil
-					// (one branch per probe) unless op timers are enabled.
-					var ot *obs.OpTimer
-					if o.Read {
-						ot = fs.StartReadOp()
-					} else {
-						ot = fs.StartWriteOp()
-					}
-					var try func()
-					complete := func(err error) {
-						if err == nil {
-							if o.Read {
-								fs.FinishReadOp(ot)
-							} else {
-								fs.FinishWriteOp(ot)
-							}
-							issue(i + 1)
-							return
-						}
-						if attempt < fspec.MaxRetries {
-							attempt++
-							result.Retries++
-							cRetries.Inc()
-							d := backoff
-							if backoff *= 2; backoff > maxBackoff {
-								backoff = maxBackoff
-							}
-							ot.Add(obs.StageBackoff, float64(d))
-							eng.Schedule(d, try)
-							return
-						}
-						// Persistent failure: abandon the op and move on —
-						// the degraded checkpoint is accounted, not hung.
-						result.DroppedOps++
-						cDropped.Inc()
-						issue(i + 1)
-					}
-					try = func() {
-						switch {
-						case o.Read:
-							clients[r].ReadOp(h, o.Off, o.Size, ot, complete)
-						case tier != nil:
-							tier.WriteOp(r, h, o.Off, o.Size, ot, complete)
-						default:
-							clients[r].WriteOp(h, o.Off, o.Size, ot, complete)
-						}
-					}
-					try()
-				}
-				withCPU := func(h *pfs.File) {
-					if o.CPU > 0 {
-						eng.Schedule(o.CPU, func() { perform(h) })
-						return
-					}
-					perform(h)
-				}
-				f, ok := handles[r][o.File]
-				if !ok {
-					clients[r].Open(o.File, func(h *pfs.File) {
-						handles[r][o.File] = h
-						withCPU(h)
-					})
-					return
-				}
-				withCPU(f)
-			}
-			issue(0)
-		}
-	}
-
-	round := 0
-	var startRound func()
-	startRound = func() {
-		if round == fspec.Checkpoints {
-			result.WallClock = eng.Now()
-			return
-		}
-		begin := func() {
-			cRounds.Inc()
-			runPhase(func(elapsed sim.Time) {
-				result.Elapsed += elapsed
-				round++
-				startRound()
-			})
-		}
-		if fspec.ComputeTime > 0 {
-			eng.Schedule(fspec.ComputeTime, begin)
-		} else {
-			begin()
-		}
-	}
-
-	var toCreate int
-	for r := range progs {
-		toCreate += len(progs[r].Creates)
-	}
-	startAll := func() {
+	progs := specPrograms(spec, cfg.StripeUnit)
+	result := FaultResult{Checkpoints: fspec.Checkpoints, ComputeTime: fspec.ComputeTime}
+	runner.create(progs, func() {
 		result.SetupElapsed = eng.Now()
-		startRound()
-	}
-	if toCreate == 0 {
-		startAll()
-	} else {
-		created := sim.NewBarrier(eng, toCreate, func(sim.Time) { startAll() })
-		for r := range progs {
-			for _, name := range progs[r].Creates {
-				clients[r].Create(name, func(*pfs.File) { created.Arrive() })
-			}
-		}
-	}
+		rounds(eng, fspec.Checkpoints, fspec.ComputeTime, func(next func()) {
+			cRounds.Inc()
+			runner.phase(progs, func(elapsed sim.Time) {
+				result.Elapsed += elapsed
+				next()
+			})
+		}, func() { result.WallClock = eng.Now() })
+	})
 
 	run()
-	result.Spec = spec
-	result.TotalBytes = int64(spec.Ranks) * spec.BytesPerRank * int64(fspec.Checkpoints)
-	if result.Elapsed > 0 {
-		result.Bandwidth = float64(result.TotalBytes) / float64(result.Elapsed)
-	}
+	// A persistently failing op was abandoned and its rank moved on:
+	// the degraded checkpoint is accounted, not hung.
+	result.Retries, result.DroppedOps = runner.retries, runner.failed
+	cRetries.Add(runner.retries)
+	cDropped.Add(runner.failed)
+	result.setPayload(spec, int64(spec.Ranks)*spec.BytesPerRank*int64(fspec.Checkpoints))
 	result.MetadataOps = fs.MetadataOps()
 	result.Faults = fs.FaultStats()
-	if tier != nil {
-		result.BB = tier.Stats()
+	if runner.tier != nil {
+		result.BB = runner.tier.Stats()
 		result.DrainedAt = eng.Now()
 	}
 	if result.WallClock > 0 {

@@ -68,11 +68,11 @@ func TestSameSeedFaultRunsProduceIdenticalMetrics(t *testing.T) {
 	}
 }
 
-// TestNoFaultRunMatchesRunProgramsProbed is the zero-cost regression: a
+// TestNoFaultRunMatchesRunPrograms is the zero-cost regression: a
 // RunFaults invocation with no plan and no retries must produce the same
-// metrics snapshot as RunProgramsProbed issuing the identical phase —
+// metrics snapshot as RunPrograms issuing the identical phase —
 // the fault layer's presence may not perturb a single event.
-func TestNoFaultRunMatchesRunProgramsProbed(t *testing.T) {
+func TestNoFaultRunMatchesRunPrograms(t *testing.T) {
 	cfg, spec := goldenSpec()
 	snapshot := func(run func(reg *obs.Registry)) []byte {
 		reg := obs.NewRegistry()
@@ -84,11 +84,7 @@ func TestNoFaultRunMatchesRunProgramsProbed(t *testing.T) {
 		return m.Bytes()
 	}
 	base := snapshot(func(reg *obs.Registry) {
-		progs := make([]Program, spec.Ranks)
-		for r := 0; r < spec.Ranks; r++ {
-			progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
-		}
-		RunProgramsProbed(cfg, progs, reg, nil)
+		RunPrograms(cfg, specPrograms(spec, cfg.StripeUnit), reg, nil)
 	})
 	faultless := snapshot(func(reg *obs.Registry) {
 		RunFaults(cfg, FaultSpec{Spec: spec, Checkpoints: 1}, reg, nil)

@@ -22,7 +22,7 @@ func TestFaultFreeRunMatchesPrePRGolden(t *testing.T) {
 	}
 	cfg, spec := goldenSpec()
 	reg := obs.NewRegistry()
-	RunProbed(cfg, spec, reg, nil)
+	Run(cfg, spec, reg, nil)
 	var got bytes.Buffer
 	if err := reg.WriteJSON(&got); err != nil {
 		t.Fatal(err)

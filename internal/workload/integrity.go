@@ -91,123 +91,47 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 	if err := ispec.Validate(); err != nil {
 		panic(err)
 	}
-	eng, run := newSimulation(ispec.Shards, reg, tr)
-	fs := pfs.New(eng, cfg)
+	spec := ispec.Spec
+	runner, run := newPhaseRunner(ispec.Shards, cfg, spec.Ranks, reg, tr)
+	eng, fs := runner.eng, runner.fs
 	if err := fs.InjectCorruption(ispec.Events); err != nil {
 		panic(err)
 	}
 
-	spec := ispec.Spec
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, cfg.StripeUnit, r)}
-	}
-	clients := make([]*pfs.Client, len(progs))
-	handles := make([]map[string]*pfs.File, len(progs))
-	for r := range clients {
-		clients[r] = fs.NewClient(r)
-		handles[r] = make(map[string]*pfs.File)
+	progs := specPrograms(spec, cfg.StripeUnit)
+	reads := make([]Program, len(progs))
+	for r, p := range progs {
+		reads[r].Ops = asReads(p.Ops)
 	}
 
 	var result IntegrityResult
-
-	// runPhase issues every rank's ops concurrently; reads report errors
-	// into FlaggedReads rather than aborting (a flagged checkpoint record
-	// is an outcome to measure, not a harness failure).
-	runPhase := func(read bool, phaseDone func(elapsed sim.Time)) {
-		phaseStart := eng.Now()
-		finished := sim.NewBarrier(eng, len(progs), func(at sim.Time) {
-			phaseDone(at - phaseStart)
-		})
-		for r := range progs {
-			r := r
-			ops := progs[r].Ops
-			var issue func(i int)
-			issue = func(i int) {
-				if i == len(ops) {
-					finished.Arrive()
-					return
-				}
-				o := ops[i]
-				perform := func(h *pfs.File) {
-					complete := func(err error) {
-						if err != nil {
-							result.FlaggedReads++
-						}
-						issue(i + 1)
-					}
-					if read {
-						clients[r].ReadErr(h, o.Off, o.Size, complete)
-					} else {
-						clients[r].WriteErr(h, o.Off, o.Size, complete)
-					}
-				}
-				f, ok := handles[r][o.File]
-				if !ok {
-					clients[r].Open(o.File, func(h *pfs.File) {
-						handles[r][o.File] = h
-						perform(h)
-					})
-					return
-				}
-				perform(f)
-			}
-			issue(0)
-		}
-	}
-
 	readBack := func() {
 		result.UnrepairedAtRead = fs.UnrepairedCorruption()
-		runPhase(true, func(elapsed sim.Time) {
-			result.ReadElapsed = elapsed
-		})
+		runner.phase(reads, func(elapsed sim.Time) { result.ReadElapsed = elapsed })
 	}
-
-	afterWrites := func() {
-		// Scrub every interval through the dwell window, then read back.
-		if ispec.ScrubInterval > 0 {
-			for t := ispec.ScrubInterval; t < ispec.Expose; t += ispec.ScrubInterval {
-				eng.Schedule(t, func() {
-					fs.Scrub(func(pfs.ScrubReport) { result.ScrubPasses++ })
-				})
-			}
-		}
-		if ispec.Expose > 0 {
-			eng.Schedule(ispec.Expose, readBack)
-		} else {
-			readBack()
-		}
-	}
-
-	startWrites := func() {
+	runner.create(progs, func() {
 		result.Write.SetupElapsed = eng.Now()
-		runPhase(false, func(elapsed sim.Time) {
+		runner.phase(progs, func(elapsed sim.Time) {
 			result.Write.Elapsed = elapsed
-			afterWrites()
-		})
-	}
-
-	var toCreate int
-	for r := range progs {
-		toCreate += len(progs[r].Creates)
-	}
-	if toCreate == 0 {
-		startWrites()
-	} else {
-		created := sim.NewBarrier(eng, toCreate, func(sim.Time) { startWrites() })
-		for r := range progs {
-			for _, name := range progs[r].Creates {
-				clients[r].Create(name, func(*pfs.File) { created.Arrive() })
+			// Scrub every interval through the dwell window, then read
+			// back.
+			if ispec.ScrubInterval > 0 {
+				for t := ispec.ScrubInterval; t < ispec.Expose; t += ispec.ScrubInterval {
+					eng.Schedule(t, func() {
+						fs.Scrub(func(pfs.ScrubReport) { result.ScrubPasses++ })
+					})
+				}
 			}
-		}
-	}
+			later(eng, ispec.Expose, readBack)
+		})
+	})
 
 	run()
-	result.Write.Spec = spec
-	result.Write.TotalBytes = int64(spec.Ranks) * spec.BytesPerRank
-	if result.Write.Elapsed > 0 {
-		result.Write.Bandwidth = float64(result.Write.TotalBytes) / float64(result.Write.Elapsed)
-	}
+	// A failed op counts in FlaggedReads rather than aborting the run: a
+	// flagged checkpoint record is an outcome to measure, not a harness
+	// failure.
+	result.FlaggedReads = runner.failed
+	result.Write.setPayload(spec, int64(spec.Ranks)*spec.BytesPerRank)
 	result.Write.MetadataOps = fs.MetadataOps()
 	result.Stats = fs.IntegrityStats()
 	result.DataExtents = fs.DataExtents()

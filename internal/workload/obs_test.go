@@ -27,7 +27,7 @@ func TestSameSeedRunsProduceIdenticalMetrics(t *testing.T) {
 		cfg, spec := goldenSpec()
 		reg := obs.NewRegistry()
 		tr := obs.NewTracer()
-		RunProbed(cfg, spec, reg, tr)
+		Run(cfg, spec, reg, tr)
 		var m, tb bytes.Buffer
 		if err := reg.WriteJSON(&m); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSameSeedRunsProduceIdenticalMetrics(t *testing.T) {
 func TestProbedRunPopulatesPFSMetrics(t *testing.T) {
 	cfg, spec := goldenSpec()
 	reg := obs.NewRegistry()
-	res := RunProbed(cfg, spec, reg, nil)
+	res := Run(cfg, spec, reg, nil)
 	if res.Bandwidth <= 0 {
 		t.Fatalf("bandwidth = %v", res.Bandwidth)
 	}
@@ -91,9 +91,9 @@ func TestProbedRunPopulatesPFSMetrics(t *testing.T) {
 // the simulation itself.
 func TestRunWithoutProbesMatchesProbedRun(t *testing.T) {
 	cfg, spec := goldenSpec()
-	plain := Run(cfg, spec)
+	plain := Run(cfg, spec, nil, nil)
 	reg := obs.NewRegistry()
-	probed := RunProbed(cfg, spec, reg, obs.NewTracer())
+	probed := Run(cfg, spec, reg, obs.NewTracer())
 	if plain.Elapsed != probed.Elapsed {
 		t.Fatalf("probes changed the simulation: %v vs %v", plain.Elapsed, probed.Elapsed)
 	}

@@ -260,72 +260,62 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 // exponential backoff and dropping (counted) what cannot complete.
 func startRebuildPod(pod *rebuildPod, spec RebuildSpec) {
 	client := pod.fs.NewClient(0)
-	maxBackoff := spec.RetryBackoff * 8
+	policy := sim.RetryPolicy{
+		MaxRetries:  spec.MaxRetries,
+		BaseBackoff: spec.RetryBackoff,
+		MaxBackoff:  spec.RetryBackoff * 8,
+	}
 
-	// attempt runs op with the retry loop; done receives whether it
-	// completed. Latency spans all attempts and their backoffs.
-	attempt := func(op func(done func(error)), lat *[]float64, done func(ok bool)) {
+	// attempt writes or reads the checkpoint range through the retry
+	// loop, then calls done. Each attempt carries its own stage timer;
+	// the latency sample spans all attempts and their backoffs.
+	attempt := func(f *pfs.File, read bool, done func()) {
 		start := pod.eng.Now()
-		tries := 0
-		backoff := spec.RetryBackoff
-		var try func()
-		try = func() {
-			op(func(err error) {
-				if err == nil {
-					*lat = append(*lat, float64(pod.eng.Now()-start))
-					pod.ops++
-					done(true)
-					return
-				}
-				if errors.Is(err, pfs.ErrDataLoss) {
-					// No retry resurrects a lost group.
-					pod.dataLoss++
-					done(false)
-					return
-				}
-				if tries < spec.MaxRetries {
-					tries++
-					pod.retries++
-					d := backoff
-					if backoff *= 2; backoff > maxBackoff {
-						backoff = maxBackoff
+		policy.Retry(pod.eng, func(complete func(error)) {
+			if read {
+				ot := pod.fs.StartReadOp()
+				client.Read(f, 0, spec.WriteBytes, ot, func(err error) {
+					if err == nil {
+						pod.fs.FinishReadOp(ot)
 					}
-					pod.eng.Schedule(d, try)
-					return
+					complete(err)
+				})
+				return
+			}
+			ot := pod.fs.StartWriteOp()
+			client.Write(f, 0, spec.WriteBytes, ot, func(err error) {
+				if err == nil {
+					pod.fs.FinishWriteOp(ot)
 				}
-				pod.dropped++
-				done(false)
+				complete(err)
 			})
-		}
-		try()
+		}, func(err error) bool {
+			// No retry resurrects a lost group.
+			return !errors.Is(err, pfs.ErrDataLoss)
+		}, func(sim.Time) { pod.retries++ }, func(err error) {
+			switch {
+			case err == nil:
+				lat := &pod.writeLat
+				if read {
+					lat = &pod.readLat
+				}
+				*lat = append(*lat, float64(pod.eng.Now()-start))
+				pod.ops++
+			case errors.Is(err, pfs.ErrDataLoss):
+				pod.dataLoss++
+			default:
+				pod.dropped++
+			}
+			done()
+		})
 	}
 
 	client.Create("/ckpt", func(f *pfs.File) {
-		round := 0
-		var next func()
-		next = func() {
-			if round == spec.Rounds {
-				return
-			}
-			round++
-			run := func() {
-				attempt(func(done func(error)) {
-					client.WriteErr(f, 0, spec.WriteBytes, done)
-				}, &pod.writeLat, func(bool) {
-					// Read back even after a dropped write — a restarting
-					// application probes its checkpoint regardless, and
-					// that is where lost groups surface as ErrDataLoss.
-					attempt(func(done func(error)) {
-						client.ReadErr(f, 0, spec.WriteBytes, done)
-					}, &pod.readLat, func(bool) { next() })
-				})
-			}
-			if spec.ComputeTime > 0 {
-				pod.eng.Schedule(spec.ComputeTime, run)
-			} else {
-				run()
-			}
-		}
-		next()
+		// Read back even after a dropped write — a restarting application
+		// probes its checkpoint regardless, and that is where lost groups
+		// surface as ErrDataLoss.
+		rounds(pod.eng, spec.Rounds, spec.ComputeTime, func(next func()) {
+			attempt(f, false, func() { attempt(f, true, next) })
+		}, func() {})
 	})
 }

@@ -37,26 +37,19 @@ func (k RestartKind) String() string {
 	return "shifted restart"
 }
 
-// restartPrograms builds the read phase. The checkpoint is assumed written
-// by `spec` (same geometry); writeFirst embeds the write ops so the files
-// exist with allocated extents before reads.
+// restartPrograms builds each rank's program: its checkpoint writes
+// from spec, so the files exist with allocated extents, then the read
+// phase of the given restart kind.
 func restartPrograms(spec Spec, unit int64, kind RestartKind) []Program {
-	progs := make([]Program, spec.Ranks)
-	for r := 0; r < spec.Ranks; r++ {
-		progs[r] = Program{Creates: filesFor(spec, r), Ops: rankOps(spec, unit, r)}
-	}
-	// Append the read phase to each rank's program.
-	for r := 0; r < spec.Ranks; r++ {
+	progs := specPrograms(spec, unit)
+	for r := range progs {
 		var reads []Op
-		switch spec.Pattern {
-		case PLFSPattern:
+		if spec.Pattern == PLFSPattern {
 			data := fmt.Sprintf("/container/hostdir.%d/data.%d", r%max(spec.PLFSHostdirs, 1), r)
 			switch kind {
 			case UniformRestart:
 				// Rank r reads its own log sequentially.
-				for _, o := range appendChunked(nil, data, 0, spec.BytesPerRank, unit) {
-					reads = append(reads, Op{File: o.File, Off: o.Off, Size: o.Size, Read: true})
-				}
+				reads = asReads(appendChunked(nil, data, 0, spec.BytesPerRank, unit))
 			case ShiftedRestart:
 				// Rank r's logical region maps to record-sized pieces of
 				// every writer's log: many smaller reads across logs.
@@ -67,36 +60,34 @@ func restartPrograms(spec Spec, unit int64, kind RestartKind) []Program {
 					reads = append(reads, Op{File: log, Off: i * spec.RecordSize, Size: spec.RecordSize, Read: true})
 				}
 			}
-		case N1Strided:
-			// Direct shared-file restart: same strided records, as reads.
-			nRecs := spec.BytesPerRank / spec.RecordSize
-			for i := int64(0); i < nRecs; i++ {
-				off := (i*int64(spec.Ranks) + int64(r)) * spec.RecordSize
-				reads = append(reads, Op{File: "/shared", Off: off, Size: spec.RecordSize, Read: true})
-			}
-		default:
-			for _, o := range rankOps(spec, unit, r) {
-				reads = append(reads, Op{File: o.File, Off: o.Off, Size: o.Size, Read: true})
-			}
+		} else {
+			// A direct restart reads back exactly the ops it wrote, so an
+			// N-1 strided checkpoint restarts with the same strided
+			// records.
+			reads = asReads(progs[r].Ops)
 		}
 		progs[r].Ops = append(progs[r].Ops, reads...)
 	}
 	return progs
 }
 
-// RunRestart measures the combined write+read phase and returns the
-// result; Bandwidth covers the full data volume moved (written + read).
-func RunRestart(cfg pfs.Config, spec Spec, kind RestartKind) Result {
-	return RunRestartProbed(cfg, spec, kind, nil, nil)
+// asReads returns reads of the ranges ops cover, without their CPU.
+func asReads(ops []Op) []Op {
+	reads := make([]Op, len(ops))
+	for i, o := range ops {
+		reads[i] = Op{File: o.File, Off: o.Off, Size: o.Size, Read: true}
+	}
+	return reads
 }
 
-// RunRestartProbed is RunRestart with a metrics registry and tracer
-// attached (either may be nil).
-func RunRestartProbed(cfg pfs.Config, spec Spec, kind RestartKind, reg *obs.Registry, tr *obs.Tracer) Result {
+// RunRestart measures the combined write+read phase and returns the
+// result; Bandwidth covers the full data volume moved (written + read).
+// reg and tr (either may be nil) probe the run as in RunPrograms.
+func RunRestart(cfg pfs.Config, spec Spec, kind RestartKind, reg *obs.Registry, tr *obs.Tracer) Result {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	res := RunProgramsProbed(cfg, restartPrograms(spec, cfg.StripeUnit, kind), reg, tr)
+	res := RunPrograms(cfg, restartPrograms(spec, cfg.StripeUnit, kind), reg, tr)
 	res.Spec = spec
 	return res
 }

@@ -66,7 +66,7 @@ func S3DWeakScaling(fsCfg pfs.Config, s3d S3DConfig, rankCounts []int) []S3DPoin
 			RecordSize:   s3d.RecordSize,
 			Pattern:      s3d.Pattern,
 			PLFSHostdirs: 32,
-		})
+		}, nil, nil)
 		pt := S3DPoint{
 			Ranks:          ranks,
 			CheckpointTime: res.Elapsed,

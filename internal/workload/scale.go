@@ -201,18 +201,18 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 						return
 					}
 					o := ops[i]
-					pod.clients[r].Write(pod.handles[r], o.Off, o.Size, func() {
+					ot := pod.fs.StartWriteOp()
+					pod.clients[r].Write(pod.handles[r], o.Off, o.Size, ot, func(err error) {
+						if err == nil {
+							pod.fs.FinishWriteOp(ot)
+						}
 						issue(i + 1)
 					})
 				}
 				issue(0)
 			}
 		}
-		if spec.ComputeTime > 0 {
-			pod.eng.Schedule(spec.ComputeTime, checkpoint)
-		} else {
-			checkpoint()
-		}
+		later(pod.eng, spec.ComputeTime, checkpoint)
 	}
 
 	startRound = func() {

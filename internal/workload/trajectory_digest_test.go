@@ -121,13 +121,13 @@ func trajectoryScenarios() []trajectoryScenario {
 		{name: "restart_plfs_shifted", traced: true, run: func(t *testing.T, reg *obs.Registry, tr *obs.Tracer) string {
 			spec := Spec{Ranks: 4, BytesPerRank: 256 << 10, RecordSize: 47008,
 				Pattern: PLFSPattern, PLFSHostdirs: 2, PLFSIndexFlushEvery: 2, CompressRatio: 2}
-			res := RunRestartProbed(cfg(), spec, ShiftedRestart, reg, tr)
+			res := RunRestart(cfg(), spec, ShiftedRestart, reg, tr)
 			requirePositive(t, map[string]int64{"bytes": res.TotalBytes})
 			return fmt.Sprintf("%+v", res)
 		}},
 		{name: "restart_n1_strided", traced: true, run: func(t *testing.T, reg *obs.Registry, tr *obs.Tracer) string {
 			spec := Spec{Ranks: 4, BytesPerRank: 256 << 10, RecordSize: 47008, Pattern: N1Strided}
-			res := RunRestartProbed(cfg(), spec, UniformRestart, reg, tr)
+			res := RunRestart(cfg(), spec, UniformRestart, reg, tr)
 			requirePositive(t, map[string]int64{"bytes": res.TotalBytes})
 			return fmt.Sprintf("%+v", res)
 		}},
@@ -156,12 +156,12 @@ func trajectoryScenarios() []trajectoryScenario {
 						Op{File: b, Off: i * 70_000, Size: 70_000, Read: true})
 				}
 			}
-			res := RunProgramsProbed(cfg(), progs, reg, tr)
+			res := RunPrograms(cfg(), progs, reg, tr)
 			requirePositive(t, map[string]int64{"bytes": res.TotalBytes})
 			return fmt.Sprintf("%+v", res)
 		}},
 		{name: "incast_sweep", traced: true, run: func(t *testing.T, reg *obs.Registry, tr *obs.Tracer) string {
-			res := incast.SweepProbed([]int{4, 16, 48}, nil, reg, tr)
+			res := incast.Sweep([]int{4, 16, 48}, nil, reg, tr)
 			var drops int64
 			for _, r := range res {
 				drops += int64(r.Drops)
@@ -175,7 +175,7 @@ func trajectoryScenarios() []trajectoryScenario {
 				SpareFraction: 0.25, TRead: sim.Time(25e-6), TProg: sim.Time(200e-6),
 				TErase: sim.Time(1.5e-3), Channels: 1, GCLowWater: 2,
 			}
-			res := flash.SustainedRandomWriteProbed(spec, 1.0, 10, 1, 7, reg, "flash.dev00")
+			res := flash.SustainedRandomWrite(spec, 1.0, 10, 1, 7, reg, "flash.dev00")
 			requirePositive(t, map[string]int64{"windows": int64(len(res))})
 			return fmt.Sprintf("%+v", res)
 		}},
