@@ -79,10 +79,6 @@ func (m Mode) String() string {
 // operation's buffer node crashed before acknowledging.
 var ErrNodeDown = errors.New("bb: burst-buffer node down")
 
-// errTornDrain ends a drain whose node crashed while its write was on
-// the wire.
-var errTornDrain = errors.New("bb: drain torn by a node crash")
-
 // NodeTarget names buffer node i for sim.FaultPlan targeting ("bb0",
 // "bb1", ...). Foreign targets (the FS's "oss3") are ignored by the
 // tier, so one plan can drive both layers through a sim.FanoutSink.

@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/flash"
@@ -315,26 +314,23 @@ func (t *Tier) issueDrain(n *node, rec *record, epoch int) {
 		MaxBackoff:  8 * t.cfg.DrainRetryBackoff,
 	}
 	policy.Retry(t.eng, func(done func(error)) {
-		n.client.Write(rec.f, rec.off, rec.size, nil, func(err error) {
-			if n.epoch != epoch {
-				if err == nil {
-					t.fs.CorruptExtent(rec.f.Name(), rec.off, rec.size)
-				}
-				err = errTornDrain
-			}
-			done(err)
-		})
+		n.client.Write(rec.f, rec.off, rec.size, nil, done)
 	}, func(err error) bool {
-		return !errors.Is(err, errTornDrain)
+		// A failed write is retried unless the node died under it,
+		// which tore the drain.
+		return err != nil && n.epoch == epoch
 	}, func(sim.Time) {
 		t.stats.DrainRetries++
 		t.cDrainRetry.Inc()
 	}, func(err error) {
 		switch {
-		case errors.Is(err, errTornDrain):
+		case n.epoch != epoch:
 			t.stats.TornDrains++
 			t.stats.TornBytes += rec.size
 			t.cTorn.Inc()
+			if err == nil {
+				t.fs.CorruptExtent(rec.f.Name(), rec.off, rec.size)
+			}
 			t.backlogBytes -= rec.size
 			t.release(n, rec.pages)
 		case err != nil:

@@ -12,6 +12,10 @@
 // same hardware streams at full speed when each client appends to its own
 // file (N-N) — which is exactly the transformation PLFS performs.
 //
+// Data moves through one call each way: Client.Write and Client.Read
+// take an optional stage timer (nil means untimed; see StartWriteOp)
+// and report failures to their done callback as an error.
+//
 // Servers can also fail: InjectFaults arms a sim.FaultPlan so object
 // storage servers crash and recover mid-run. A down server times out
 // in-flight and new operations (ErrServerDown after FailTimeout) and

@@ -100,10 +100,13 @@ func (p *phaseRunner) phase(progs []Program, done func(elapsed sim.Time)) {
 				return
 			}
 			o := ops[i]
-			next := func() { issue(i + 1) }
 			withCPU := func(h *pfs.File) {
 				// Compute (e.g. compression) precedes the I/O.
-				later(p.eng, o.CPU, func() { p.do(r, h, o, next) })
+				if o.CPU > 0 {
+					p.eng.Schedule(o.CPU, func() { p.do(r, h, o, issue, i+1) })
+					return
+				}
+				p.do(r, h, o, issue, i+1)
 			}
 			if h, ok := p.handles[r][o.File]; ok {
 				withCPU(h)
@@ -118,8 +121,9 @@ func (p *phaseRunner) phase(progs []Program, done func(elapsed sim.Time)) {
 	}
 }
 
-// do runs one op of rank r and its retries on h, then calls next.
-func (p *phaseRunner) do(r int, h *pfs.File, o Op, next func()) {
+// do runs one op of rank r and its retries on h, then calls
+// issue(next).
+func (p *phaseRunner) do(r int, h *pfs.File, o Op, issue func(int), next int) {
 	var ot *obs.OpTimer
 	if o.Read {
 		ot = p.fs.StartReadOp()
@@ -147,7 +151,7 @@ func (p *phaseRunner) do(r int, h *pfs.File, o Op, next func()) {
 		default:
 			p.fs.FinishWriteOp(ot)
 		}
-		next()
+		issue(next)
 	})
 }
 
