@@ -415,7 +415,6 @@ func BenchmarkAblationHostdirs(b *testing.B) {
 					Ranks: 128, BytesPerRank: 256 << 10, RecordSize: 47008,
 					Pattern: workload.PLFSPattern, PLFSHostdirs: hd, PLFSIndexFlushEvery: 64,
 				}, nil, nil)
-
 				setup = float64(res.SetupElapsed)
 				total = float64(res.SetupElapsed + res.Elapsed)
 			}

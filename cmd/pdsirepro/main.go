@@ -425,7 +425,6 @@ func fig14() {
 	for i, spec := range flash.AllTable1Devices() {
 		res := flash.SustainedRandomWrite(spec, 1.0, 60, 5, 99,
 			probeReg, fmt.Sprintf("flash.dev%02d", i))
-
 		fmt.Printf("%-32s ", spec.Name)
 		for _, w := range res {
 			fmt.Printf("%8.0f", w.IOPS)
@@ -527,7 +526,6 @@ func figRestart() {
 	direct := workload.RunRestart(cfg, workload.Spec{
 		Ranks: 16, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: workload.N1Strided,
 	}, workload.UniformRestart, probeReg, probeTr)
-
 	fmt.Printf("%-34s %12s %14s\n", "scenario", "time (s)", "MB/s moved")
 	fmt.Printf("%-34s %12.2f %14.1f\n", "PLFS write + uniform restart", float64(uni.Elapsed), mb(uni.Bandwidth))
 	fmt.Printf("%-34s %12.2f %14.1f\n", "PLFS write + shifted restart", float64(sh.Elapsed), mb(sh.Bandwidth))

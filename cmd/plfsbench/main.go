@@ -485,7 +485,6 @@ func main() {
 					Ranks: r, BytesPerRank: *mbEach << 20, RecordSize: *record,
 					Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 				}, reg, tr)
-
 				row = append(row, res.Bandwidth/1e6)
 				addResult(p, r, res)
 			}
@@ -516,7 +515,6 @@ func main() {
 		Ranks: *ranks, BytesPerRank: *mbEach << 20, RecordSize: *record,
 		Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}, reg, tr)
-
 	addResult(p, *ranks, res)
 	fmt.Printf("file system:   %s (%d servers)\n", cfg.Name, *servers)
 	fmt.Printf("pattern:       %s\n", p)

@@ -138,7 +138,6 @@ func TestPLFSWithinFactorOfNN(t *testing.T) {
 	nn := Run(c, Spec{Ranks: 8, BytesPerRank: 4 << 20, RecordSize: 47008, Pattern: NN}, nil, nil)
 	pl := Run(c, Spec{Ranks: 8, BytesPerRank: 4 << 20, RecordSize: 47008,
 		Pattern: PLFSPattern, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64}, nil, nil)
-
 	if pl.Bandwidth < nn.Bandwidth/3 {
 		t.Fatalf("PLFS %.0f B/s should be within 3x of N-N %.0f B/s", pl.Bandwidth, nn.Bandwidth)
 	}

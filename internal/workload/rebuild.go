@@ -270,22 +270,16 @@ func startRebuildPod(pod *rebuildPod, spec RebuildSpec) {
 	// loop, then calls done. Each attempt carries its own stage timer;
 	// the latency sample spans all attempts and their backoffs.
 	attempt := func(f *pfs.File, read bool, done func()) {
+		begin, finish, io, lat := pod.fs.StartWriteOp, pod.fs.FinishWriteOp, client.Write, &pod.writeLat
+		if read {
+			begin, finish, io, lat = pod.fs.StartReadOp, pod.fs.FinishReadOp, client.Read, &pod.readLat
+		}
 		start := pod.eng.Now()
 		policy.Retry(pod.eng, func(complete func(error)) {
-			if read {
-				ot := pod.fs.StartReadOp()
-				client.Read(f, 0, spec.WriteBytes, ot, func(err error) {
-					if err == nil {
-						pod.fs.FinishReadOp(ot)
-					}
-					complete(err)
-				})
-				return
-			}
-			ot := pod.fs.StartWriteOp()
-			client.Write(f, 0, spec.WriteBytes, ot, func(err error) {
+			ot := begin()
+			io(f, 0, spec.WriteBytes, ot, func(err error) {
 				if err == nil {
-					pod.fs.FinishWriteOp(ot)
+					finish(ot)
 				}
 				complete(err)
 			})
@@ -295,10 +289,6 @@ func startRebuildPod(pod *rebuildPod, spec RebuildSpec) {
 		}, func(sim.Time) { pod.retries++ }, func(err error) {
 			switch {
 			case err == nil:
-				lat := &pod.writeLat
-				if read {
-					lat = &pod.readLat
-				}
 				*lat = append(*lat, float64(pod.eng.Now()-start))
 				pod.ops++
 			case errors.Is(err, pfs.ErrDataLoss):
