@@ -24,10 +24,10 @@ type retrier struct {
 
 // Retry runs op, and runs it again after the policy's backoff each time
 // it fails while retries remain and retryable (nil: every error)
-// accepts the error. Before each retry, onRetry (nil allowed) sees the
-// wait ahead and does the caller's accounting: counters, a stage
-// timer's backoff. done receives the final error: nil, an error
-// retryable refused, or the last error once the retries ran out.
+// accepts the error. Before each retry, onRetry sees the wait ahead and
+// does the caller's accounting: counters, a stage timer's backoff. done
+// receives the final error: nil, an error retryable refused, or the
+// last error once the retries ran out.
 func (p RetryPolicy) Retry(eng *Engine, op func(done func(error)), retryable func(error) bool, onRetry func(delay Time), done func(error)) {
 	r := &retrier{eng: eng, p: p, backoff: p.BaseBackoff, op: op, retryable: retryable, onRetry: onRetry, done: done}
 	r.attempt()
@@ -40,9 +40,7 @@ func (r *retrier) complete(err error) {
 		r.done(err)
 		return
 	}
-	if r.onRetry != nil {
-		r.onRetry(r.backoff)
-	}
+	r.onRetry(r.backoff)
 	r.tries++
 	d := r.backoff
 	if r.backoff *= 2; r.backoff > r.p.MaxBackoff {

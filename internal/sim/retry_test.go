@@ -58,7 +58,7 @@ func TestRetryEnds(t *testing.T) {
 			done(tc.results[attempts-1])
 		}, func(err error) bool {
 			return err != errFatal
-		}, nil, func(err error) { final = err })
+		}, func(Time) {}, func(err error) { final = err })
 		eng.Run()
 		if final != tc.want || attempts != tc.attempts {
 			t.Errorf("%s: final %v after %d attempts, want %v after %d",
