@@ -58,9 +58,6 @@ type Cluster struct {
 	samplerOn   bool
 	nextTick    Time
 
-	metrics *obs.Registry
-	tracer  *obs.Tracer
-
 	cSends   *obs.Counter
 	cWindows *obs.Counter
 
@@ -102,7 +99,7 @@ func NewCluster(n int, lookahead Time) *Cluster {
 		hasNxt:    make([]bool, n),
 	}
 	for i := range c.shards {
-		c.shards[i] = NewEngine()
+		c.shards[i] = &Engine{cluster: c}
 		c.keyseq[i] = make(map[string]uint64)
 	}
 	return c
@@ -114,13 +111,6 @@ func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 
 // NumShards reports the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
-
-// Lookahead reports the cluster's minimum cross-shard latency.
-func (c *Cluster) Lookahead() Time { return c.lookahead }
-
-// Now returns the global virtual time: the lower bound of the current
-// window while running, the time of the last event after Run returns.
-func (c *Cluster) Now() Time { return c.now }
 
 // Pending reports live events summed over all shards. Only meaningful
 // at window barriers (sampler ticks, or before/after Run).
@@ -143,8 +133,6 @@ func (c *Cluster) Pending() int {
 // sort on write by (timestamp, lane, lane sequence), which is invariant
 // as long as each lane is written from a single shard.
 func (c *Cluster) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	c.metrics = reg
-	c.tracer = tr
 	tr.Ordered()
 	for _, sh := range c.shards {
 		sh.instrument(reg, tr)
@@ -160,18 +148,14 @@ func (c *Cluster) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// Metrics returns the attached registry (nil when uninstrumented).
-func (c *Cluster) Metrics() *obs.Registry { return c.metrics }
-
-// Tracer returns the attached tracer (nil when uninstrumented).
-func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
-
 // Sample registers fn to run on a global sampling grid, like
 // Engine.Sample but at cluster scope: a tick at time t runs at a window
 // barrier after every event before t and before any event at t, which
 // is the only tick placement that is invariant across shard counts. The
-// first call fixes the cadence; later calls join it. The sampler is
-// self-terminating: one final tick fires after the last event drains.
+// first call fixes the cadence; later calls join it. Engine.Sample on a
+// shard engine lands here too, so every series in the cluster shares
+// one grid. The sampler is self-terminating: one final tick fires after
+// the last event drains.
 func (c *Cluster) Sample(interval Time, fn func(now Time)) {
 	if fn == nil {
 		return
@@ -187,14 +171,6 @@ func (c *Cluster) Sample(interval Time, fn func(now Time)) {
 	c.sampleEvery = interval
 	c.nextTick = interval
 	c.samplerOn = true
-}
-
-// SampleInterval returns the armed cadence (0 when sampling is off).
-func (c *Cluster) SampleInterval() Time {
-	if !c.samplerOn {
-		return 0
-	}
-	return c.sampleEvery
 }
 
 // Send schedules fn on shard dst at the sending shard's current time
@@ -248,8 +224,15 @@ func (c *Cluster) inject() {
 	c.injectBuf = buf[:0]
 }
 
+// runTick advances every shard's clock to the tick time, which no
+// dispatched event has passed, so a sampler reading a member engine's
+// Now (utilization gauges divide by it) sees the same instant whatever
+// else shares that engine.
 func (c *Cluster) runTick(at Time) {
 	c.now = at
+	for _, sh := range c.shards {
+		sh.now = at
+	}
 	for _, f := range c.sampleFns {
 		f(at)
 	}

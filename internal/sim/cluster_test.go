@@ -136,6 +136,58 @@ func TestClusterByteIdenticalAcrossShardsAndProcs(t *testing.T) {
 	}
 }
 
+// engineSampleFixture runs domains that each arm their own series
+// through Engine.Sample on their shard engine, observing a server's
+// utilization, and returns the snapshot and series CSV bytes.
+func engineSampleFixture(t *testing.T, shards int) (snap, csv []byte) {
+	t.Helper()
+	const domains = 5
+	reg := obs.NewRegistry()
+	reg.EnableTimeSeries(0.004)
+	cl := NewCluster(shards, Infinity)
+	cl.Instrument(reg, nil)
+	for d := 0; d < domains; d++ {
+		eng := cl.Shard(d % shards)
+		name := fmt.Sprintf("test.dom%02d", d)
+		srv := NewServer(eng, 1)
+		srv.Instrument(name + ".srv")
+		ts := reg.TimeSeries(name + ".util")
+		eng.Sample(Time(reg.SeriesWindow()), func(now Time) { ts.Observe(float64(now), srv.Utilization()) })
+		// Domains go quiet at different times, so a shard's clock would
+		// otherwise depend on which domains share it.
+		for k := 0; k <= 3*d; k++ {
+			eng.At(Time(k)*0.003+Time(d)*0.0007, func() { srv.Submit(0.002, nil) })
+		}
+	}
+	cl.Run()
+	var sb, cb bytes.Buffer
+	if err := reg.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteSeriesCSV(&cb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.Bytes(), cb.Bytes()
+}
+
+// TestClusterEngineSampleShardInvariant: series armed through a shard
+// engine's Sample tick on the cluster grid, so snapshot and CSV are
+// byte-identical whether the domains share one engine or spread over
+// three.
+func TestClusterEngineSampleShardInvariant(t *testing.T) {
+	snap1, csv1 := engineSampleFixture(t, 1)
+	snap3, csv3 := engineSampleFixture(t, 3)
+	if !bytes.Equal(snap1, snap3) {
+		t.Errorf("snapshots differ between 1 and 3 shards:\n1: %s\n3: %s", snap1, snap3)
+	}
+	if !bytes.Equal(csv1, csv3) {
+		t.Errorf("series CSVs differ between 1 and 3 shards:\n1: %s\n3: %s", csv1, csv3)
+	}
+	if !bytes.Contains(csv1, []byte("test.dom04.util")) {
+		t.Errorf("series CSV missing a domain's utilization: %s", csv1)
+	}
+}
+
 // TestClusterSingleShardMatchesEngine: a model that never sends runs
 // identically on a plain engine and on shard 0 of a cluster.
 func TestClusterSingleShardMatchesEngine(t *testing.T) {

@@ -108,6 +108,10 @@ type Engine struct {
 	sampleFns   []func(now Time)
 	sampleEvery Time
 	samplerOn   bool
+
+	// cluster is the Cluster this engine is a shard of (nil for a
+	// standalone engine); Sample defers to its grid.
+	cluster *Cluster
 }
 
 // NewEngine returns an engine with the clock at zero.

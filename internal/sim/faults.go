@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"repro/internal/obs"
 )
 
 // This file is the fault-injection half of the kernel: a FaultPlan is a
@@ -172,81 +170,7 @@ func (p *FaultPlan) Schedule(eng *Engine, sink FaultSink) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	reg := eng.Metrics()
-	return p.schedule(eng, sink, reg, eng.Tracer(), 0)
-}
-
-// ScheduleSharded arms the plan across a cluster: place maps each
-// target to its home shard and sinks[i] — one per shard — receives the
-// callbacks for targets placed on shard i. Targets must not straddle
-// shards (each target's whole crash/recovery history lands on one
-// engine), and same-time faults of different targets must commute in
-// the model, which is the cluster's usual disjoint-state contract.
-// Trace instants go to a per-target lane (tid = the target's rank in
-// sorted-name order) instead of the single-engine tid 0, so with the
-// cluster's ordered tracer the trace is byte-identical for any shard
-// count. The fault counters are shared atomics and also invariant.
-func (p *FaultPlan) ScheduleSharded(cl *Cluster, place func(target string) int, sinks []FaultSink) error {
-	if p.Len() == 0 {
-		return nil
-	}
-	if len(sinks) != cl.NumShards() {
-		return fmt.Errorf("%w: %d sinks for %d shards", ErrInvalidPlan, len(sinks), cl.NumShards())
-	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-
-	// Per-target trace lanes in sorted-name order: stable under any
-	// placement.
-	targets := make([]string, 0, 8)
-	seen := make(map[string]bool, 8)
-	for _, ev := range p.events {
-		if !seen[ev.Target] {
-			seen[ev.Target] = true
-			targets = append(targets, ev.Target)
-		}
-	}
-	sort.Strings(targets)
-	lane := make(map[string]int64, len(targets))
-	for i, t := range targets {
-		lane[t] = int64(i)
-	}
-
-	reg := cl.Metrics()
-	tr := cl.Tracer()
-	for _, t := range targets {
-		shard := place(t)
-		if shard < 0 || shard >= cl.NumShards() {
-			return fmt.Errorf("%w: target %q placed on shard %d of %d", ErrInvalidPlan, t, shard, cl.NumShards())
-		}
-		if sinks[shard] == nil {
-			return fmt.Errorf("%w: target %q placed on shard %d with nil sink", ErrInvalidPlan, t, shard)
-		}
-	}
-	for _, t := range targets {
-		shard := place(t)
-		sub := p.subplan(t)
-		if err := sub.schedule(cl.Shard(shard), sinks[shard], reg, tr, lane[t]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// subplan extracts one target's events, preserving insertion order.
-func (p *FaultPlan) subplan(target string) *FaultPlan {
-	sub := NewFaultPlan()
-	for _, ev := range p.events {
-		if ev.Target == target {
-			sub.events = append(sub.events, ev)
-		}
-	}
-	return sub
-}
-
-// schedule arms an already-validated plan on one engine.
-func (p *FaultPlan) schedule(eng *Engine, sink FaultSink, reg *obs.Registry, tr *obs.Tracer, tid int64) error {
+	reg, tr := eng.Metrics(), eng.Tracer()
 	cInjected := reg.Counter("sim.faults.injected")
 	cRecovered := reg.Counter("sim.faults.recovered")
 	for _, ev := range p.Events() {
@@ -254,7 +178,7 @@ func (p *FaultPlan) schedule(eng *Engine, sink FaultSink, reg *obs.Registry, tr 
 		eng.At(ev.At, func() {
 			cInjected.Inc()
 			if tr.Enabled() {
-				tr.InstantArgs("fault", "crash "+ev.Target, tid, float64(eng.Now()),
+				tr.InstantArgs("fault", "crash "+ev.Target, 0, float64(eng.Now()),
 					map[string]any{"downtime_s": float64(ev.Downtime)})
 			}
 			sink.CrashTarget(ev.Target)
@@ -265,7 +189,7 @@ func (p *FaultPlan) schedule(eng *Engine, sink FaultSink, reg *obs.Registry, tr 
 		eng.At(ev.At+ev.Downtime, func() {
 			cRecovered.Inc()
 			if tr.Enabled() {
-				tr.Instant("fault", "recover "+ev.Target, tid, float64(eng.Now()))
+				tr.Instant("fault", "recover "+ev.Target, 0, float64(eng.Now()))
 			}
 			sink.RecoverTarget(ev.Target)
 		})

@@ -18,7 +18,13 @@ package sim
 // and schedules the tick; later calls join the existing cadence (their
 // interval argument is ignored) so all series share one time grid.
 // No-op for a nil fn or, on the first call, a non-positive interval.
+// On a Cluster's shard engine, fn joins the cluster's grid instead
+// (Cluster.Sample), so the tick schedules no event on the shard.
 func (e *Engine) Sample(interval Time, fn func(now Time)) {
+	if e.cluster != nil {
+		e.cluster.Sample(interval, fn)
+		return
+	}
 	if fn == nil {
 		return
 	}
@@ -48,7 +54,7 @@ func (e *Engine) Sample(interval Time, fn func(now Time)) {
 }
 
 // SampleInterval returns the armed sampling cadence (0 when sampling is
-// off).
+// off, and always on a shard engine, whose samplers run on the cluster).
 func (e *Engine) SampleInterval() Time {
 	if !e.samplerOn {
 		return 0

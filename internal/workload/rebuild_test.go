@@ -33,22 +33,44 @@ func rebuildSpec(shards int) RebuildSpec {
 }
 
 func TestRunRebuildShardCountInvariant(t *testing.T) {
-	run := func(shards int) (RebuildResult, string) {
-		reg := obs.NewRegistry()
-		res := RunRebuild(rebuildSpec(shards), reg)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.String()
-	}
-	r1, s1 := run(1)
-	r3, s3 := run(3)
-	if s1 != s3 {
-		t.Fatal("metrics snapshot differs between 1 and 3 shards")
-	}
-	if r1 != r3 {
-		t.Fatalf("results differ across shard counts:\n1: %+v\n3: %+v", r1, r3)
+	for _, tc := range []struct {
+		name string
+		arm  func(*obs.Registry)
+	}{
+		{"plain", func(*obs.Registry) {}},
+		// Every pod arms its series on its own shard engine; the ticks
+		// must share the cluster grid and see one clock.
+		{"series+optimers", func(reg *obs.Registry) {
+			reg.EnableTimeSeries(0.1)
+			reg.EnableOpTimers()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(shards int) (RebuildResult, string, string) {
+				reg := obs.NewRegistry()
+				tc.arm(reg)
+				res := RunRebuild(rebuildSpec(shards), reg)
+				var buf, csv bytes.Buffer
+				if err := reg.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := reg.WriteSeriesCSV(&csv); err != nil {
+					t.Fatal(err)
+				}
+				return res, buf.String(), csv.String()
+			}
+			r1, s1, c1 := run(1)
+			r3, s3, c3 := run(3)
+			if s1 != s3 {
+				t.Fatal("metrics snapshot differs between 1 and 3 shards")
+			}
+			if c1 != c3 {
+				t.Fatal("series CSV differs between 1 and 3 shards")
+			}
+			if r1 != r3 {
+				t.Fatalf("results differ across shard counts:\n1: %+v\n3: %+v", r1, r3)
+			}
+		})
 	}
 }
 

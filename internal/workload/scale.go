@@ -114,10 +114,10 @@ type scalePod struct {
 }
 
 // RunScale executes the sharded many-pod experiment. The registry
-// snapshot is byte-identical for any spec.Shards >= 1 and any
-// GOMAXPROCS; time-series sampling and tracing stay off here because
-// per-engine samplers and per-pod trace lanes are engine-local (see
-// DESIGN.md on sharding limitations).
+// snapshot and series are byte-identical for any spec.Shards >= 1 and
+// any GOMAXPROCS: every pod's series tick on the cluster's sampling
+// grid. Tracing stays off because pods reuse client IDs as trace lanes
+// (see DESIGN.md on sharding limitations).
 func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
