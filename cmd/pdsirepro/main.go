@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -104,6 +103,10 @@ var (
 // rebuild experiments always run on a cluster, of one shard at 0.
 var probeShards int
 
+// artifacts are the -metrics, -report, -timeseries and -trace outputs
+// and the -ts-window series window.
+var artifacts obs.Artifacts
+
 // clusterShards is the shard count for the cluster-only experiments.
 func clusterShards() int { return max(probeShards, 1) }
 
@@ -124,11 +127,11 @@ var (
 
 func main() {
 	figs := flag.String("fig", "all", "comma-separated experiment ids, or 'all'")
-	metrics := flag.String("metrics", "", "write a deterministic metrics snapshot (JSON) to this file")
-	trace := flag.String("trace", "", "write a Chrome trace-event file (Perfetto/chrome://tracing) to this file")
-	report := flag.String("report", "", "write a latency/SLO dashboard (exact quantiles, stage attribution, bottlenecks) to this file, or '-' for stdout; enables per-op stage timers")
-	timeseries := flag.String("timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
-	tsWindow := flag.Float64("ts-window", 0.1, "sim-time series window in seconds (with -timeseries)")
+	flag.StringVar(&artifacts.Metrics, "metrics", "", "write a deterministic metrics snapshot (JSON) to this file")
+	flag.StringVar(&artifacts.Trace, "trace", "", "write a Chrome trace-event file (Perfetto/chrome://tracing) to this file")
+	flag.StringVar(&artifacts.Report, "report", "", "write a latency/SLO dashboard (exact quantiles, stage attribution, bottlenecks) to this file, or '-' for stdout; enables per-op stage timers")
+	flag.StringVar(&artifacts.Series, "timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
+	flag.Float64Var(&artifacts.Window, "ts-window", 0.1, "sim-time series window in seconds (with -timeseries), > 0")
 	flag.IntVar(&probeShards, "shards", 0, "run simulation-backed experiments on a sharded cluster (0 = single engine; scale and rebuild run one shard); outputs are byte-identical for any value >= 1")
 	flag.IntVar(&scalePods, "scale-pods", 8, "scale experiment: number of file-system pods")
 	flag.IntVar(&scaleRanks, "scale-ranks", 32, "scale experiment: checkpointing ranks per pod")
@@ -155,52 +158,23 @@ func main() {
 			run = append(run, f)
 		}
 	}
-	if *metrics != "" || *report != "" || *timeseries != "" {
-		probeReg = obs.NewRegistry()
-	}
-	if *report != "" {
-		probeReg.EnableOpTimers()
-	}
-	if *timeseries != "" {
-		probeReg.EnableTimeSeries(*tsWindow)
-	}
-	if *trace != "" {
-		probeTr = obs.NewTracer()
-	}
+	probeReg, probeTr = artifacts.Probe()
 	for _, f := range run {
 		experiments[f]()
 		fmt.Println()
 	}
-	if *metrics != "" {
-		if err := writeFile(*metrics, probeReg.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *report != "" {
-		snap := probeReg.Snapshot()
-		if err := writeFile(*report, func(w io.Writer) error { return obs.WriteReport(w, snap) }); err != nil {
-			fmt.Fprintf(os.Stderr, "writing report: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *timeseries != "" {
-		if err := writeFile(*timeseries, probeReg.WriteSeriesCSV); err != nil {
-			fmt.Fprintf(os.Stderr, "writing timeseries: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *trace != "" {
-		if err := writeFile(*trace, probeTr.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-			os.Exit(1)
-		}
+	if err := artifacts.Write(probeReg, probeTr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
-// checkFlags rejects integer flag values the experiments cannot run
-// with, before any of them starts.
+// checkFlags rejects flag values the experiments cannot run with,
+// before any of them starts.
 func checkFlags() error {
+	if artifacts.Window <= 0 {
+		return fmt.Errorf("-ts-window %g: must be positive", artifacts.Window)
+	}
 	for _, f := range []struct {
 		name     string
 		val, min int
@@ -233,23 +207,6 @@ func rebuildMinOSS() int {
 		n = max(n, km[0]+km[1]+1)
 	}
 	return n
-}
-
-// writeFile creates path and streams write into it; "-" writes to
-// stdout.
-func writeFile(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if e := f.Close(); err == nil {
-		err = e
-	}
-	return err
 }
 
 func header(title string) {

@@ -22,10 +22,14 @@ func TestCheckFlags(t *testing.T) {
 		{"-rebuild-oss 11", func() { rebuildOSS = 11 }, false},
 		{"-rebuild-oss 12", func() { rebuildOSS = 12 }, true},
 		{"-rebuild-rounds 0", func() { rebuildRounds = 0 }, false},
+		{"-ts-window 0", func() { artifacts.Window = 0 }, false},
+		{"-ts-window -1", func() { artifacts.Window = -1 }, false},
+		{"-ts-window 1", func() { artifacts.Window = 1 }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			probeShards, scalePods, scaleRanks, scaleOSS, scaleRounds = 4, 8, 32, 4, 2
 			rebuildDrives, rebuildOSS, rebuildRounds = 10240, 64, 3
+			artifacts.Window = 0.1
 			tc.set()
 			if err := checkFlags(); (err == nil) != tc.ok {
 				t.Fatalf("checkFlags() = %v, want ok=%v", err, tc.ok)

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
@@ -34,49 +33,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// writeOut streams write into the named file ("-" for stdout, empty
-// skips). Exits non-zero on I/O errors so CI catches them.
-func writeOut(path, what string, write func(io.Writer) error) {
-	if path == "" {
-		return
-	}
-	var err error
-	if path == "-" {
-		err = write(os.Stdout)
-	} else {
-		var f *os.File
-		f, err = os.Create(path)
-		if err == nil {
-			err = write(f)
-			if e := f.Close(); err == nil {
-				err = e
-			}
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "writing %s: %v\n", what, err)
-		os.Exit(1)
-	}
-}
-
-// writeObs dumps the metrics snapshot, latency report, time series, and
-// trace to the named files (empty names skip).
-func writeObs(reg *obs.Registry, tr *obs.Tracer, metricsPath, reportPath, tsPath, tracePath string) {
-	if metricsPath != "" {
-		writeOut(metricsPath, "metrics", reg.WriteJSON)
-	}
-	if reportPath != "" {
-		snap := reg.Snapshot()
-		writeOut(reportPath, "report", func(w io.Writer) error { return obs.WriteReport(w, snap) })
-	}
-	if tsPath != "" {
-		writeOut(tsPath, "timeseries", reg.WriteSeriesCSV)
-	}
-	if tracePath != "" {
-		writeOut(tracePath, "trace", tr.WriteJSON)
-	}
-}
 
 func fsConfig(name string, servers int) (pfs.Config, bool) {
 	switch name {
@@ -388,13 +344,19 @@ func main() {
 		bbDrain    = flag.Float64("bb-drain-mbps", 100, "burst-buffer drain bandwidth to the FS in MB/s (with -bb-mode)")
 		computeSec = flag.Float64("compute", 0.5, "simulated compute seconds between checkpoints under -mtbf")
 		jsonPath   = flag.String("json", "", "write machine-readable results (JSON) to this file")
-		metrics    = flag.String("metrics", "", "write a deterministic metrics snapshot (JSON) to this file")
-		report     = flag.String("report", "", "write a latency/SLO dashboard (exact quantiles, stage attribution, bottlenecks) to this file, or '-' for stdout; enables per-op stage timers")
-		timeseries = flag.String("timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
-		tsWindow   = flag.Float64("ts-window", 0.1, "sim-time series window in seconds (with -timeseries)")
-		trace      = flag.String("trace", "", "write a Chrome trace-event file (Perfetto/chrome://tracing) to this file")
+		artifacts  obs.Artifacts
 	)
+	flag.StringVar(&artifacts.Metrics, "metrics", "", "write a deterministic metrics snapshot (JSON) to this file")
+	flag.StringVar(&artifacts.Report, "report", "", "write a latency/SLO dashboard (exact quantiles, stage attribution, bottlenecks) to this file, or '-' for stdout; enables per-op stage timers")
+	flag.StringVar(&artifacts.Series, "timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
+	flag.Float64Var(&artifacts.Window, "ts-window", 0.1, "sim-time series window in seconds (with -timeseries), > 0")
+	flag.StringVar(&artifacts.Trace, "trace", "", "write a Chrome trace-event file (Perfetto/chrome://tracing) to this file")
 	flag.Parse()
+
+	if artifacts.Window <= 0 {
+		fmt.Fprintf(os.Stderr, "-ts-window %g: must be positive\n", artifacts.Window)
+		os.Exit(2)
+	}
 
 	cfg, ok := fsConfig(*fsName, *servers)
 	if !ok {
@@ -429,21 +391,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var reg *obs.Registry
-	var tr *obs.Tracer
-	if *metrics != "" || *report != "" || *timeseries != "" {
-		reg = obs.NewRegistry()
-	}
-	if *report != "" {
-		reg.EnableOpTimers()
-	}
-	if *timeseries != "" {
-		reg.EnableTimeSeries(*tsWindow)
-	}
-	if *trace != "" {
-		tr = obs.NewTracer()
-	}
-	defer writeObs(reg, tr, *metrics, *report, *timeseries, *trace)
+	reg, tr := artifacts.Probe()
+	defer func() {
+		if err := artifacts.Write(reg, tr); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}()
 
 	if *indexBench {
 		res := runIndexBench(*entries, *writers, *ingestW, reg)

@@ -256,7 +256,7 @@ func specPrograms(spec Spec, unit int64) []Program {
 func RunPrograms(cfg pfs.Config, progs []Program, reg *obs.Registry, tr *obs.Tracer) Result {
 	runner, run := newPhaseRunner(0, cfg, len(progs), reg, tr)
 	var result Result
-	runner.create(progs, func() {
+	runner.create(progs, false, func() {
 		result.SetupElapsed = runner.eng.Now()
 		runner.phase(progs, func(elapsed sim.Time) { result.Elapsed = elapsed })
 	})

@@ -56,9 +56,9 @@ type FaultSpec struct {
 	// many shards instead of a plain engine, with the whole file system
 	// on shard 0 (one file system is one shared-state domain; it cannot
 	// be split). The trajectory — and therefore every snapshot, trace,
-	// and series — is byte-identical for any positive shard count; the
-	// CI shard-determinism smoke pins that. Zero keeps the legacy
-	// single-engine path, whose golden snapshots predate the cluster.
+	// and series — is byte-identical for any positive shard count;
+	// `make shard-check` pins that. Zero keeps the legacy single-engine
+	// path, whose golden snapshots predate the cluster.
 	Shards int
 }
 
@@ -111,7 +111,8 @@ type FaultResult struct {
 	Utilization float64
 
 	// Retries counts write/read attempts repeated after a failure;
-	// DroppedOps counts ops abandoned after MaxRetries.
+	// DroppedOps counts ops abandoned after MaxRetries or on
+	// ErrDataLoss, which is never retried.
 	Retries    int64
 	DroppedOps int64
 
@@ -167,7 +168,7 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 
 	progs := specPrograms(spec, cfg.StripeUnit)
 	result := FaultResult{Checkpoints: fspec.Checkpoints, ComputeTime: fspec.ComputeTime}
-	runner.create(progs, func() {
+	runner.create(progs, false, func() {
 		result.SetupElapsed = eng.Now()
 		rounds(eng, fspec.Checkpoints, fspec.ComputeTime, func(next func()) {
 			cRounds.Inc()
@@ -181,9 +182,9 @@ func RunFaults(cfg pfs.Config, fspec FaultSpec, reg *obs.Registry, tr *obs.Trace
 	run()
 	// A persistently failing op was abandoned and its rank moved on:
 	// the degraded checkpoint is accounted, not hung.
-	result.Retries, result.DroppedOps = runner.retries, runner.failed
-	cRetries.Add(runner.retries)
-	cDropped.Add(runner.failed)
+	result.Retries, result.DroppedOps = runner.retries, runner.failed+runner.lost
+	cRetries.Add(result.Retries)
+	cDropped.Add(result.DroppedOps)
 	result.setPayload(spec, int64(spec.Ranks)*spec.BytesPerRank*int64(fspec.Checkpoints))
 	result.MetadataOps = fs.MetadataOps()
 	result.Faults = fs.FaultStats()

@@ -109,7 +109,7 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 		result.UnrepairedAtRead = fs.UnrepairedCorruption()
 		runner.phase(reads, func(elapsed sim.Time) { result.ReadElapsed = elapsed })
 	}
-	runner.create(progs, func() {
+	runner.create(progs, false, func() {
 		result.Write.SetupElapsed = eng.Now()
 		runner.phase(progs, func(elapsed sim.Time) {
 			result.Write.Elapsed = elapsed
@@ -130,7 +130,7 @@ func RunIntegrity(cfg pfs.Config, ispec IntegritySpec, reg *obs.Registry, tr *ob
 	// A failed op counts in FlaggedReads rather than aborting the run: a
 	// flagged checkpoint record is an outcome to measure, not a harness
 	// failure.
-	result.FlaggedReads = runner.failed
+	result.FlaggedReads = runner.failed + runner.lost
 	result.Write.setPayload(spec, int64(spec.Ranks)*spec.BytesPerRank)
 	result.Write.MetadataOps = fs.MetadataOps()
 	result.Stats = fs.IntegrityStats()

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/failure"
@@ -142,23 +141,11 @@ type RebuildResult struct {
 	WallClock sim.Time
 }
 
-// rebuildPod is one pod's harness state; everything here is touched only
-// by events on the pod's own shard, so pods run in parallel untouched.
-type rebuildPod struct {
-	eng *sim.Engine
-	fs  *pfs.FS
-
-	burstEvents int64
-	burstCrash  int64
-
-	ops, retries, dropped, dataLoss int64
-	writeLat, readLat               []float64
-}
-
-// RunRebuild executes the rebuild-storm population. The registry
-// snapshot is byte-identical for any spec.Shards >= 1 and any
-// GOMAXPROCS; pods are fully independent, so the cluster runs with
-// unbounded lookahead.
+// RunRebuild executes the rebuild-storm population: every pod is a
+// phaseRunner with one rank on shard pod % Shards, under its own drawn
+// fault and LSE schedules. The registry snapshot is byte-identical for
+// any spec.Shards >= 1 and any GOMAXPROCS; pods are fully independent,
+// so the cluster runs with unbounded lookahead.
 func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
@@ -166,7 +153,15 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 	cl := sim.NewCluster(spec.Shards, sim.Infinity)
 	cl.Instrument(reg, nil)
 
-	pods := make([]*rebuildPod, spec.Pods)
+	// Each round writes the checkpoint range and reads it back, even
+	// after a dropped write: a restarting application probes its
+	// checkpoint regardless, and that is where lost groups surface as
+	// ErrDataLoss.
+	progs := []Program{{Creates: []string{"/ckpt"}, Ops: []Op{
+		{File: "/ckpt", Size: spec.WriteBytes},
+		{File: "/ckpt", Size: spec.WriteBytes, Read: true},
+	}}}
+	pods := make([]*phaseRunner, spec.Pods)
 	result := RebuildResult{Pods: spec.Pods, Servers: spec.Servers, Drives: spec.Pods * spec.Servers}
 	for p := range pods {
 		cfg := pfs.PanFSLike(spec.Servers)
@@ -178,16 +173,17 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 		if spec.LSE != nil {
 			cfg.Checksums = true
 		}
-		eng := cl.Shard(p % spec.Shards)
-		pod := &rebuildPod{eng: eng, fs: pfs.New(eng, cfg)}
+		pod := newPod(cl.Shard(p%spec.Shards), cfg, 1)
+		pod.retry = sim.RetryPolicy{MaxRetries: spec.MaxRetries, BaseBackoff: spec.RetryBackoff, MaxBackoff: spec.RetryBackoff * 8}
+		pod.latencies = true
 		seed := spec.Seed + int64(p)*1_000_003
 
 		fspec := spec.Faults
 		fspec.Servers = spec.Servers
 		fspec.Target = nil
 		plan, bs := failure.DrawOSSFaultsDetailed(fspec, seed)
-		pod.burstEvents = int64(bs.Bursts)
-		pod.burstCrash = int64(bs.Crashes)
+		result.BurstEvents += int64(bs.Bursts)
+		result.BurstCrash += int64(bs.Crashes)
 		if err := pod.fs.InjectFaults(plan); err != nil {
 			panic(err)
 		}
@@ -199,13 +195,17 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 			}
 		}
 		pods[p] = pod
-		result.Groups += pod.fs.RedundancyGroups()
-		startRebuildPod(pod, spec)
+		pod.create(progs, true, func() {
+			rounds(pod.eng, spec.Rounds, spec.ComputeTime, func(next func()) {
+				pod.phase(progs, func(sim.Time) { next() })
+			}, func() {})
+		})
 	}
 
 	result.WallClock = cl.Run()
 
-	var lost, groups int64
+	// Pod-order aggregation keeps the quantiles shard-count-independent.
+	var writes, reads []float64
 	for _, pod := range pods {
 		fst := pod.fs.FaultStats()
 		result.Crashes += fst.Crashes
@@ -219,9 +219,7 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 		result.Rebuild.AbandonedGroups += rst.AbandonedGroups
 		result.Rebuild.Bytes += rst.Bytes
 		result.Rebuild.Busy += rst.Busy
-		if rst.MaxDuration > result.Rebuild.MaxDuration {
-			result.Rebuild.MaxDuration = rst.MaxDuration
-		}
+		result.Rebuild.MaxDuration = max(result.Rebuild.MaxDuration, rst.MaxDuration)
 		ls := pod.fs.LossStats()
 		result.Loss.Events += ls.Events
 		result.Loss.Groups += ls.Groups
@@ -230,82 +228,20 @@ func RunRebuild(spec RebuildSpec, reg *obs.Registry) RebuildResult {
 		if ls.Groups > 0 {
 			result.PodsWithLoss++
 		}
-		lost += ls.Groups
-		groups += int64(pod.fs.RedundancyGroups())
-		result.BurstEvents += pod.burstEvents
-		result.BurstCrash += pod.burstCrash
-		result.Ops += pod.ops
+		result.Groups += pod.fs.RedundancyGroups()
+		result.Ops += int64(len(pod.writeLat) + len(pod.readLat))
 		result.Retries += pod.retries
-		result.Dropped += pod.dropped
-		result.DataLossOps += pod.dataLoss
-	}
-	if groups > 0 {
-		result.GroupLossFrac = float64(lost) / float64(groups)
-	}
-	// Pod-order aggregation keeps the quantiles shard-count-independent.
-	var writes, reads []float64
-	for _, pod := range pods {
+		result.Dropped += pod.failed
+		result.DataLossOps += pod.lost
 		writes = append(writes, pod.writeLat...)
 		reads = append(reads, pod.readLat...)
+	}
+	if result.Groups > 0 {
+		result.GroupLossFrac = float64(result.Loss.Groups) / float64(result.Groups)
 	}
 	result.WriteP50 = obs.Percentile(writes, 0.50)
 	result.WriteP99 = obs.Percentile(writes, 0.99)
 	result.ReadP50 = obs.Percentile(reads, 0.50)
 	result.ReadP99 = obs.Percentile(reads, 0.99)
 	return result
-}
-
-// startRebuildPod chains one pod's foreground rounds: compute, write the
-// checkpoint range, read it back, repeat — retrying failed ops with
-// exponential backoff and dropping (counted) what cannot complete.
-func startRebuildPod(pod *rebuildPod, spec RebuildSpec) {
-	client := pod.fs.NewClient(0)
-	policy := sim.RetryPolicy{
-		MaxRetries:  spec.MaxRetries,
-		BaseBackoff: spec.RetryBackoff,
-		MaxBackoff:  spec.RetryBackoff * 8,
-	}
-
-	// attempt writes or reads the checkpoint range through the retry
-	// loop, then calls done. Each attempt carries its own stage timer;
-	// the latency sample spans all attempts and their backoffs.
-	attempt := func(f *pfs.File, read bool, done func()) {
-		begin, finish, io, lat := pod.fs.StartWriteOp, pod.fs.FinishWriteOp, client.Write, &pod.writeLat
-		if read {
-			begin, finish, io, lat = pod.fs.StartReadOp, pod.fs.FinishReadOp, client.Read, &pod.readLat
-		}
-		start := pod.eng.Now()
-		policy.Retry(pod.eng, func(complete func(error)) {
-			ot := begin()
-			io(f, 0, spec.WriteBytes, ot, func(err error) {
-				if err == nil {
-					finish(ot)
-				}
-				complete(err)
-			})
-		}, func(err error) bool {
-			// No retry resurrects a lost group.
-			return !errors.Is(err, pfs.ErrDataLoss)
-		}, func(sim.Time) { pod.retries++ }, func(err error) {
-			switch {
-			case err == nil:
-				*lat = append(*lat, float64(pod.eng.Now()-start))
-				pod.ops++
-			case errors.Is(err, pfs.ErrDataLoss):
-				pod.dataLoss++
-			default:
-				pod.dropped++
-			}
-			done()
-		})
-	}
-
-	client.Create("/ckpt", func(f *pfs.File) {
-		// Read back even after a dropped write — a restarting application
-		// probes its checkpoint regardless, and that is where lost groups
-		// surface as ErrDataLoss.
-		rounds(pod.eng, spec.Rounds, spec.ComputeTime, func(next func()) {
-			attempt(f, false, func() { attempt(f, true, next) })
-		}, func() {})
-	})
 }

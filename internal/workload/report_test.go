@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -92,26 +93,56 @@ func TestReportDeterministicAcrossRunsAndGOMAXPROCS(t *testing.T) {
 }
 
 // TestAnalyticsRetriesChargeBackoff checks the per-logical-op timer
-// survives the workload harness's retry loop: a run that retried at
-// least once must attribute backoff seconds.
+// survives the harness's retry loop: a run that retried at least once
+// must attribute backoff seconds. A rebuild run must also agree with
+// its own result: the pods' op timers time the same ops as the result's
+// latency samples, so the largest pod write max covers WriteP99.
 func TestAnalyticsRetriesChargeBackoff(t *testing.T) {
-	cfg, spec := goldenSpec()
-	cfg.FailTimeout = sim.Time(5e-3)
-	cfg.LeaseExpiry = sim.Time(20e-3)
-	plan := failure.DrawOSSFaults(failure.OSSFaultSpec{
-		Servers: cfg.NumServers, MTBF: 1, Shape: 1, Downtime: 0.05, Horizon: 10,
-	}, 7)
-	reg := obs.NewRegistry()
-	reg.EnableOpTimers()
-	res := RunFaults(cfg, FaultSpec{
-		Spec: spec, Checkpoints: 2, ComputeTime: sim.Time(0.2), Plan: plan,
-		MaxRetries: 6, RetryBackoff: sim.Time(5e-3), MaxBackoff: sim.Time(0.1),
-	}, reg, nil)
-	if res.Retries == 0 {
-		t.Skip("fault draw produced no retries; nothing to attribute")
-	}
-	if q := reg.Snapshot().Quantiles["pfs.write.stage.backoff_s"]; q.Sum <= 0 {
-		t.Fatalf("run retried %d times but backoff stage sum = %v", res.Retries, q.Sum)
+	for _, tc := range []struct {
+		name string
+		run  func(reg *obs.Registry) (retries int64, writeP99 float64)
+	}{
+		{"faults", func(reg *obs.Registry) (int64, float64) {
+			cfg, spec := goldenSpec()
+			cfg.FailTimeout = sim.Time(5e-3)
+			cfg.LeaseExpiry = sim.Time(20e-3)
+			plan := failure.DrawOSSFaults(failure.OSSFaultSpec{
+				Servers: cfg.NumServers, MTBF: 1, Shape: 1, Downtime: 0.05, Horizon: 10,
+			}, 7)
+			res := RunFaults(cfg, FaultSpec{
+				Spec: spec, Checkpoints: 2, ComputeTime: sim.Time(0.2), Plan: plan,
+				MaxRetries: 6, RetryBackoff: sim.Time(5e-3), MaxBackoff: sim.Time(0.1),
+			}, reg, nil)
+			return res.Retries, 0
+		}},
+		{"rebuild", func(reg *obs.Registry) (int64, float64) {
+			res := RunRebuild(rebuildSpec(2), reg)
+			return res.Retries, res.WriteP99
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			reg.EnableOpTimers()
+			retries, writeP99 := tc.run(reg)
+			if retries == 0 {
+				t.Skip("fault draw produced no retries; nothing to attribute")
+			}
+			var backoff, writeMax float64
+			for name, q := range reg.Snapshot().Quantiles {
+				switch {
+				case strings.HasSuffix(name, "pfs.write.stage.backoff_s"):
+					backoff += q.Sum
+				case strings.HasSuffix(name, "pfs.write.latency_s"):
+					writeMax = max(writeMax, q.Max)
+				}
+			}
+			if backoff <= 0 {
+				t.Fatalf("run retried %d times but write backoff stage sum = %v", retries, backoff)
+			}
+			if writeMax < writeP99 {
+				t.Fatalf("largest pfs.write.latency_s max %v < result WriteP99 %v", writeMax, writeP99)
+			}
+		})
 	}
 }
 

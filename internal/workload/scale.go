@@ -104,16 +104,9 @@ type ScaleResult struct {
 	Events uint64
 }
 
-// scalePod is one pod's harness state.
-type scalePod struct {
-	shard   int
-	eng     *sim.Engine
-	fs      *pfs.FS
-	clients []*pfs.Client
-	handles []*pfs.File
-}
-
-// RunScale executes the sharded many-pod experiment. The registry
+// RunScale executes the sharded many-pod experiment: every pod is a
+// phaseRunner on shard pod % Shards whose ranks keep their created
+// handles, and a shard-0 coordinator barriers the rounds. The registry
 // snapshot and series are byte-identical for any spec.Shards >= 1 and
 // any GOMAXPROCS: every pod's series tick on the cluster's sampling
 // grid. Tracing stays off because pods reuse client IDs as trace lanes
@@ -125,36 +118,22 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	cl := sim.NewCluster(spec.Shards, spec.InterPodLatency)
 	cl.Instrument(reg, nil)
 
-	wspec := Spec{
+	keys := make([]string, spec.Pods)
+	pods := make([]*phaseRunner, spec.Pods)
+	for p := range pods {
+		keys[p] = fmt.Sprintf("pod%03d", p)
+		cfg := pfs.PanFSLike(spec.ServersPerPod)
+		cfg.MetricPrefix = keys[p] + "."
+		pods[p] = newPod(cl.Shard(p%spec.Shards), cfg, spec.RanksPerPod)
+	}
+	// One program per rank (N-N: one file per rank), shared across pods:
+	// every pod runs the same ranks against its own file system.
+	progs := specPrograms(Spec{
 		Ranks:        spec.RanksPerPod,
 		BytesPerRank: spec.BytesPerRank,
 		RecordSize:   spec.BytesPerRank,
 		Pattern:      NN,
-	}
-	// One op program per rank, shared across pods (every pod runs the
-	// same ranks against its own file system and files).
-	pods := make([]*scalePod, spec.Pods)
-	for p := range pods {
-		shard := p % spec.Shards
-		cfg := pfs.PanFSLike(spec.ServersPerPod)
-		cfg.MetricPrefix = fmt.Sprintf("pod%03d.", p)
-		eng := cl.Shard(shard)
-		pod := &scalePod{
-			shard:   shard,
-			eng:     eng,
-			fs:      pfs.New(eng, cfg),
-			clients: make([]*pfs.Client, spec.RanksPerPod),
-			handles: make([]*pfs.File, spec.RanksPerPod),
-		}
-		for r := range pod.clients {
-			pod.clients[r] = pod.fs.NewClient(r)
-		}
-		pods[p] = pod
-	}
-	rankOpsOnce := make([][]Op, spec.RanksPerPod)
-	for r := range rankOpsOnce {
-		rankOpsOnce[r] = rankOps(wspec, pods[0].fs.Cfg.StripeUnit, r)
-	}
+	}, pods[0].fs.Cfg.StripeUnit)
 
 	result := ScaleResult{
 		Pods:         spec.Pods,
@@ -170,88 +149,39 @@ func RunScale(spec ScaleSpec, reg *obs.Registry) ScaleResult {
 	// shard 0), so no locking is needed even under a parallel run.
 	coord := cl.Shard(0)
 	arrived := 0
-	round := 0
 	var roundStart sim.Time
-	var startRound func()
-	podKey := func(p int) string { return fmt.Sprintf("pod%03d", p) }
-
-	// podRound runs one pod's compute + checkpoint phase, then reports
-	// back to the coordinator. Runs as a shard-local event on the pod's
-	// shard.
-	podRound := func(p int) {
-		pod := pods[p]
-		checkpoint := func() {
-			finished := sim.NewBarrier(pod.eng, len(pod.clients), func(sim.Time) {
-				cl.Send(pod.shard, 0, podKey(p), spec.InterPodLatency, func() {
-					arrived++
-					if arrived == spec.Pods {
-						result.RoundElapsed = append(result.RoundElapsed, coord.Now()-roundStart)
-						round++
-						startRound()
-					}
-				})
-			})
-			for r := range pod.clients {
-				r := r
-				ops := rankOpsOnce[r]
-				var issue func(i int)
-				issue = func(i int) {
-					if i == len(ops) {
-						finished.Arrive()
-						return
-					}
-					o := ops[i]
-					ot := pod.fs.StartWriteOp()
-					pod.clients[r].Write(pod.handles[r], o.Off, o.Size, ot, func(err error) {
-						if err == nil {
-							pod.fs.FinishWriteOp(ot)
-						}
-						issue(i + 1)
-					})
-				}
-				issue(0)
+	// report tells the coordinator that pod p is done; the last pod's
+	// report runs then.
+	report := func(p int, then func()) {
+		cl.Send(p%spec.Shards, 0, keys[p], spec.InterPodLatency, func() {
+			if arrived++; arrived == spec.Pods {
+				arrived = 0
+				then()
 			}
-		}
-		later(pod.eng, spec.ComputeTime, checkpoint)
+		})
 	}
-
+	var startRound func()
+	endRound := func() {
+		result.RoundElapsed = append(result.RoundElapsed, coord.Now()-roundStart)
+		startRound()
+	}
 	startRound = func() {
-		if round == spec.Rounds {
+		if len(result.RoundElapsed) == spec.Rounds {
 			return
 		}
-		arrived = 0
 		roundStart = coord.Now()
-		for p := range pods {
-			p := p
-			cl.Send(0, pods[p].shard, podKey(p), spec.InterPodLatency, func() {
-				podRound(p)
+		for p, pod := range pods {
+			cl.Send(0, p%spec.Shards, keys[p], spec.InterPodLatency, func() {
+				later(pod.eng, spec.ComputeTime, func() {
+					pod.phase(progs, func(sim.Time) { report(p, endRound) })
+				})
 			})
 		}
 	}
-
-	// Setup: every rank creates its file (N-N: one file per rank per
-	// pod), each pod reports completion, and the coordinator opens round
-	// 0 once all pods are ready.
-	setupArrived := 0
-	for p := range pods {
-		p := p
-		pod := pods[p]
-		ready := sim.NewBarrier(pod.eng, len(pod.clients), func(sim.Time) {
-			cl.Send(pod.shard, 0, podKey(p), spec.InterPodLatency, func() {
-				setupArrived++
-				if setupArrived == spec.Pods {
-					startRound()
-				}
-			})
-		})
-		for r := range pod.clients {
-			r := r
-			names := filesFor(wspec, r)
-			pod.clients[r].Create(names[0], func(h *pfs.File) {
-				pod.handles[r] = h
-				ready.Arrive()
-			})
-		}
+	// Setup: every pod creates its ranks' files and reports, and the
+	// coordinator opens round 0 once all pods are ready.
+	for p, pod := range pods {
+		pod.create(progs, true, func() { report(p, startRound) })
 	}
 
 	result.WallClock = cl.Run()
