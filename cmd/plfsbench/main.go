@@ -314,18 +314,45 @@ func pattern(name string) (workload.Pattern, bool) {
 	return 0, false
 }
 
+// The numeric flags checkFlags bounds, and the artifact outputs.
+var (
+	servers, ranks, writers, ckpts, shards int
+	mbEach, record                         int64
+	artifacts                              obs.Artifacts
+)
+
+// checkFlags rejects flag values the runs cannot use, before any of
+// them starts.
+func checkFlags() error {
+	if artifacts.Window <= 0 {
+		return fmt.Errorf("-ts-window %g: must be positive", artifacts.Window)
+	}
+	for _, f := range []struct {
+		name     string
+		val, min int64
+	}{
+		{"servers", int64(servers), 1},
+		{"ranks", int64(ranks), 1},
+		{"mb", mbEach, 1},
+		{"record", record, 1},
+		{"writers", int64(writers), 1},
+		{"checkpoints", int64(ckpts), 1},
+		{"shards", int64(shards), 0},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("-%s %d: must be at least %d", f.name, f.val, f.min)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		fsName     = flag.String("fs", "panfs", "file system preset: panfs, lustre, gpfs")
-		servers    = flag.Int("servers", 8, "number of I/O servers")
-		ranks      = flag.Int("ranks", 32, "application ranks")
-		mbEach     = flag.Int64("mb", 4, "checkpoint MiB per rank")
-		record     = flag.Int64("record", 47008, "application record size in bytes")
 		pat        = flag.String("pattern", "n1", "pattern: n1, segmented, nn, plfs")
 		sweep      = flag.Bool("sweep", false, "sweep ranks {8,16,32,64,128} across all patterns")
 		indexBench = flag.Bool("indexbench", false, "time the PLFS global-index build (ingest + merge) instead of a checkpoint simulation")
 		entries    = flag.Int("entries", 1<<20, "indexbench: total index entries")
-		writers    = flag.Int("writers", 64, "indexbench: writer (rank) count")
 		ingestW    = flag.Int("ingest-workers", 0, "indexbench: parallel ingest workers (0 = GOMAXPROCS)")
 		mtbf       = flag.Float64("mtbf", 0, "per-server MTBF in seconds; > 0 injects OSS crashes into the (non-sweep) run")
 		corrupt    = flag.Float64("corrupt-rate", 0, "silent corruptions per drive-hour; > 0 runs write/dwell/read-back under latent sector errors")
@@ -333,19 +360,23 @@ func main() {
 		verify     = flag.Bool("verify", true, "verify per-stripe-unit checksums on read during -corrupt-rate runs")
 		downtime   = flag.Float64("downtime", 0.5, "crash downtime in seconds (0 = permanent failure)")
 		faultSeed  = flag.Int64("fault-seed", 42, "seed for the deterministic fault draw")
-		ckpts      = flag.Int("checkpoints", 4, "compute+checkpoint rounds under -mtbf")
 		ecK        = flag.Int("ec-k", 0, "erasure coding: data fragments per redundancy group (0 = no redundancy)")
 		ecM        = flag.Int("ec-m", 0, "erasure coding: parity fragments per group (with -ec-k)")
 		ecRatio    = flag.Float64("ec-declustering", 1, "erasure coding: declustering window as a fraction of the server population, in (0,1]")
-		shards     = flag.Int("shards", 0, "run the simulation on a sharded cluster of this many event queues (0 = single engine); outputs are byte-identical for any value")
 		bbMode     = flag.String("bb-mode", "off", "burst-buffer tier between ranks and the FS: off, back (write-back), through (write-through)")
 		bbNodes    = flag.Int("bb-nodes", 2, "burst-buffer node count (with -bb-mode)")
 		bbCapMB    = flag.Int64("bb-capacity-mb", 32, "flash capacity per burst-buffer node in MiB (with -bb-mode)")
 		bbDrain    = flag.Float64("bb-drain-mbps", 100, "burst-buffer drain bandwidth to the FS in MB/s (with -bb-mode)")
 		computeSec = flag.Float64("compute", 0.5, "simulated compute seconds between checkpoints under -mtbf")
 		jsonPath   = flag.String("json", "", "write machine-readable results (JSON) to this file")
-		artifacts  obs.Artifacts
 	)
+	flag.IntVar(&servers, "servers", 8, "number of I/O servers")
+	flag.IntVar(&ranks, "ranks", 32, "application ranks")
+	flag.Int64Var(&mbEach, "mb", 4, "checkpoint MiB per rank")
+	flag.Int64Var(&record, "record", 47008, "application record size in bytes")
+	flag.IntVar(&writers, "writers", 64, "indexbench: writer (rank) count")
+	flag.IntVar(&ckpts, "checkpoints", 4, "compute+checkpoint rounds under -mtbf")
+	flag.IntVar(&shards, "shards", 0, "run the simulation on a sharded cluster of this many event queues (0 = single engine); outputs are byte-identical for any value")
 	flag.StringVar(&artifacts.Metrics, "metrics", "", "write a deterministic metrics snapshot (JSON) to this file")
 	flag.StringVar(&artifacts.Report, "report", "", "write a latency/SLO dashboard (exact quantiles, stage attribution, bottlenecks) to this file, or '-' for stdout; enables per-op stage timers")
 	flag.StringVar(&artifacts.Series, "timeseries", "", "write sim-time series as CSV to this file; enables windowed sampling")
@@ -353,12 +384,12 @@ func main() {
 	flag.StringVar(&artifacts.Trace, "trace", "", "write a Chrome trace-event file (Perfetto/chrome://tracing) to this file")
 	flag.Parse()
 
-	if artifacts.Window <= 0 {
-		fmt.Fprintf(os.Stderr, "-ts-window %g: must be positive\n", artifacts.Window)
+	if err := checkFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	cfg, ok := fsConfig(*fsName, *servers)
+	cfg, ok := fsConfig(*fsName, servers)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown -fs %q\n", *fsName)
 		os.Exit(2)
@@ -400,7 +431,7 @@ func main() {
 	}()
 
 	if *indexBench {
-		res := runIndexBench(*entries, *writers, *ingestW, reg)
+		res := runIndexBench(*entries, writers, *ingestW, reg)
 		effWorkers := *ingestW
 		if effWorkers <= 0 {
 			effWorkers = runtime.GOMAXPROCS(0)
@@ -421,7 +452,7 @@ func main() {
 	addResult := func(p workload.Pattern, r int, res workload.Result) {
 		jsonResults = append(jsonResults, patternResult{
 			FS: cfg.Name, Pattern: p.String(), Ranks: r,
-			MBPerRank: *mbEach, RecordBytes: *record,
+			MBPerRank: mbEach, RecordBytes: record,
 			BandwidthMBps: res.Bandwidth / 1e6,
 			ElapsedSimSec: float64(res.Elapsed),
 			MetadataOps:   res.MetadataOps,
@@ -430,13 +461,13 @@ func main() {
 
 	if *sweep {
 		fmt.Printf("sweep on %s (%d servers), %d MiB/rank, %d B records\n",
-			cfg.Name, *servers, *mbEach, *record)
+			cfg.Name, servers, mbEach, record)
 		fmt.Printf("%8s %16s %16s %16s %16s\n", "ranks", "N-1 MB/s", "segmented MB/s", "N-N MB/s", "PLFS MB/s")
 		for _, r := range []int{8, 16, 32, 64, 128} {
 			row := []float64{}
 			for _, p := range []workload.Pattern{workload.N1Strided, workload.N1Segmented, workload.NN, workload.PLFSPattern} {
 				res := workload.Run(cfg, workload.Spec{
-					Ranks: r, BytesPerRank: *mbEach << 20, RecordSize: *record,
+					Ranks: r, BytesPerRank: mbEach << 20, RecordSize: record,
 					Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 				}, reg, tr)
 				row = append(row, res.Bandwidth/1e6)
@@ -454,25 +485,25 @@ func main() {
 		os.Exit(2)
 	}
 	if *corrupt > 0 {
-		runCorrupt(cfg, p, *ranks, *mbEach, *record, *corrupt, *scrubSec, *verify, *faultSeed, *shards, reg, tr)
+		runCorrupt(cfg, p, ranks, mbEach, record, *corrupt, *scrubSec, *verify, *faultSeed, shards, reg, tr)
 		return
 	}
 	if *mtbf > 0 {
-		runFaulty(cfg, bbCfg, p, *ranks, *mbEach, *record, *mtbf, *downtime, *computeSec, *ckpts, *faultSeed, *shards, reg, tr)
+		runFaulty(cfg, bbCfg, p, ranks, mbEach, record, *mtbf, *downtime, *computeSec, ckpts, *faultSeed, shards, reg, tr)
 		return
 	}
 	if bbCfg != nil {
-		runBuffered(cfg, bbCfg, p, *ranks, *mbEach, *record, *computeSec, *ckpts, *shards, reg, tr)
+		runBuffered(cfg, bbCfg, p, ranks, mbEach, record, *computeSec, ckpts, shards, reg, tr)
 		return
 	}
 	res := workload.Run(cfg, workload.Spec{
-		Ranks: *ranks, BytesPerRank: *mbEach << 20, RecordSize: *record,
+		Ranks: ranks, BytesPerRank: mbEach << 20, RecordSize: record,
 		Pattern: p, PLFSHostdirs: 32, PLFSIndexFlushEvery: 64,
 	}, reg, tr)
-	addResult(p, *ranks, res)
-	fmt.Printf("file system:   %s (%d servers)\n", cfg.Name, *servers)
+	addResult(p, ranks, res)
+	fmt.Printf("file system:   %s (%d servers)\n", cfg.Name, servers)
 	fmt.Printf("pattern:       %s\n", p)
-	fmt.Printf("ranks:         %d x %d MiB (records of %d B)\n", *ranks, *mbEach, *record)
+	fmt.Printf("ranks:         %d x %d MiB (records of %d B)\n", ranks, mbEach, record)
 	fmt.Printf("elapsed:       %v\n", res.Elapsed)
 	fmt.Printf("bandwidth:     %.1f MB/s aggregate\n", res.Bandwidth/1e6)
 	fmt.Printf("metadata ops:  %d\n", res.MetadataOps)

@@ -196,34 +196,20 @@ func (fs *FS) detectAndRepair(s *server, gid int, diskOff, size int64, done func
 	})
 }
 
-// repairUnit reconstructs the unit at diskOff on s from k live members
-// of its redundancy group gid — k parallel fragment reads — and rewrites
-// it in place on the home drive, clearing the latent corruption. Without
-// redundancy (gid < 0) or with fewer than k live members there is nothing
-// to reconstruct from, and the mismatch is counted unrecoverable. done
-// receives ErrCorruptData then, ErrServerDown if a server dies
-// mid-repair, else nil.
+// repairUnit gathers the unit at diskOff on s from k live members of
+// its redundancy group gid and rewrites it in place on the home drive,
+// clearing the latent corruption. Without redundancy (gid < 0) or with
+// fewer than k live members there is nothing to reconstruct from, and
+// the mismatch is counted unrecoverable. done receives ErrCorruptData
+// then, ErrServerDown if a server dies mid-repair, else nil.
 func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(error)) {
-	var readers []liveMember
-	if gid >= 0 {
-		readers = fs.ecLiveMembers(gid, s.idx, fs.red.cfg.K)
-	}
-	if gid < 0 || len(readers) < fs.red.cfg.K {
-		fs.integrity.Unrecoverable++
-		fs.cIntUnrecov.Inc()
-		done(ErrCorruptData)
-		return
-	}
-	failed := false
-	barrier := sim.NewBarrier(fs.eng, len(readers), func(sim.Time) {
-		if failed {
+	rewrite := func(crashed bool) {
+		if crashed {
 			fs.failOp(done)
 			return
 		}
-		wsvc := s.dsk.Access(diskOff, size)
-		sepoch := s.epoch
-		s.dq.Submit(wsvc, func(sim.Time) {
-			if s.epoch != sepoch {
+		fs.access(s, ioWrite, diskOff, size, nil, func(crashed bool) {
+			if crashed {
 				fs.failOp(done)
 				return
 			}
@@ -232,21 +218,11 @@ func (fs *FS) repairUnit(s *server, gid int, diskOff, size int64, done func(erro
 			fs.cIntRepaired.Inc()
 			done(nil)
 		})
-	})
-	for _, m := range readers {
-		m := m
-		roff := fs.ecExtent(m.srv, gid, m.slot)
-		svc := m.srv.dsk.Access(roff, size)
-		m.srv.bytesRead += size
-		m.srv.cOps.Inc()
-		m.srv.cBytesR.Add(size)
-		epoch := m.srv.epoch
-		m.srv.dq.Submit(svc, func(sim.Time) {
-			if m.srv.epoch != epoch {
-				failed = true
-			}
-			barrier.Arrive()
-		})
+	}
+	if gid < 0 || fs.gather(gid, s.idx, 0, size, nil, rewrite) == nil {
+		fs.integrity.Unrecoverable++
+		fs.cIntUnrecov.Inc()
+		done(ErrCorruptData)
 	}
 }
 
@@ -325,10 +301,8 @@ func (fs *FS) scrubServer(s *server, rep *ScrubReport, done func()) {
 				size = fs.red.cfg.unitBytes()
 			}
 		}
-		svc := s.dsk.Access(diskOff, size)
-		epoch := s.epoch
-		s.dq.Submit(svc, func(sim.Time) {
-			if s.epoch != epoch {
+		fs.access(s, ioRead, diskOff, size, nil, func(crashed bool) {
+			if crashed {
 				// The server died mid-sweep: abandon this pass.
 				done()
 				return

@@ -294,36 +294,13 @@ func (s *server) write(fs *FS, st *fileState, p subOp, ot *obs.OpTimer, done fun
 		s.next += fs.Cfg.StripeUnit
 		s.extent[key] = diskOff
 	}
-	full := p.offIn == 0 && p.size == fs.Cfg.StripeUnit
-	var svc sim.Time
-	var det disk.AccessDetail
-	if !full && fs.Cfg.RMWPartialStripe && ok {
-		// Partial overwrite of an existing unit: read it, modify, write it
-		// back — two unit-sized disk ops.
-		t1, d1 := s.dsk.AccessTimed(diskOff, fs.Cfg.StripeUnit)
-		t2, d2 := s.dsk.AccessTimed(diskOff, fs.Cfg.StripeUnit)
-		svc = t1 + t2
-		det = disk.AccessDetail{
-			SeekSec:     d1.SeekSec + d2.SeekSec,
-			RotationSec: d1.RotationSec + d2.RotationSec,
-			TransferSec: d1.TransferSec + d2.TransferSec,
-		}
-		fs.cRMW.Inc()
-		s.cRMW.Inc()
-	} else {
-		svc, det = s.dsk.AccessTimed(diskOff+p.offIn, p.size)
+	kind, off := ioWrite, diskOff+p.offIn
+	partial := p.offIn != 0 || p.size != fs.Cfg.StripeUnit
+	if partial && fs.Cfg.RMWPartialStripe && ok {
+		kind, off = ioRMW, diskOff
 	}
-	ot.Add(obs.StageDiskSeek, det.SeekSec)
-	ot.Add(obs.StageDiskRotation, det.RotationSec)
-	ot.Add(obs.StageDiskTransfer, det.TransferSec)
-	s.bytesWritten += p.size
-	s.cOps.Inc()
-	s.cBytesW.Add(p.size)
-	epoch := s.epoch
-	enq := fs.eng.Now()
-	s.dq.Submit(svc, func(at sim.Time) {
-		ot.Add(obs.StageQueue, float64(at-enq-svc))
-		if s.epoch != epoch {
+	fs.access(s, kind, off, p.size, ot, func(crashed bool) {
+		if crashed {
 			done(ErrServerDown)
 			return
 		}
@@ -331,6 +308,85 @@ func (s *server) write(fs *FS, st *fileState, p subOp, ot *obs.OpTimer, done fun
 		s.corr.Repair(diskOff+p.offIn, p.size, fs.eng.Now())
 		done(nil)
 	})
+}
+
+// ioKind says what one disk access does.
+type ioKind uint8
+
+const (
+	ioRead ioKind = iota
+	ioWrite
+	// ioRMW is a partial overwrite of an existing stripe unit: the
+	// server reads the whole unit and writes it back — two unit-sized
+	// accesses in one queue slot — though the piece moves fewer bytes.
+	ioRMW
+)
+
+// access is the one disk-access path. It runs the drive model for n
+// bytes at off on s (an ioRMW starts at the unit's start), charges
+// seek, rotation and transfer to ot (nil for background I/O), counts
+// the op and its n bytes on s, submits the access to s's disk queue and
+// returns its service time. When the access lands, its queue wait is
+// charged to ot and done learns whether s crashed meanwhile.
+func (fs *FS) access(s *server, kind ioKind, off, n int64, ot *obs.OpTimer, done func(crashed bool)) sim.Time {
+	passes, span := 1, n
+	if kind == ioRMW {
+		passes, span = 2, fs.Cfg.StripeUnit
+		fs.cRMW.Inc()
+		s.cRMW.Inc()
+	}
+	var svc sim.Time
+	var det disk.AccessDetail
+	for i := 0; i < passes; i++ {
+		t, d := s.dsk.AccessTimed(off, span)
+		svc += t
+		det.SeekSec += d.SeekSec
+		det.RotationSec += d.RotationSec
+		det.TransferSec += d.TransferSec
+	}
+	ot.Add(obs.StageDiskSeek, det.SeekSec)
+	ot.Add(obs.StageDiskRotation, det.RotationSec)
+	ot.Add(obs.StageDiskTransfer, det.TransferSec)
+	if kind == ioRead {
+		s.bytesRead += n
+		s.cBytesR.Add(n)
+	} else {
+		s.bytesWritten += n
+		s.cBytesW.Add(n)
+	}
+	s.cOps.Inc()
+	var io *diskIO
+	if k := len(fs.ioFree); k > 0 {
+		io, fs.ioFree = fs.ioFree[k-1], fs.ioFree[:k-1]
+	} else {
+		io = &diskIO{fs: fs}
+		io.land = io.landed
+	}
+	io.s, io.ot, io.enq, io.svc, io.epoch, io.done = s, ot, fs.eng.Now(), svc, s.epoch, done
+	s.dq.Submit(svc, io.land)
+	return svc
+}
+
+// diskIO is one disk access in flight: what its landing needs to charge
+// the queue wait and tell whether its server crashed meanwhile. Landed
+// records return to FS.ioFree for reuse, so an access allocates no
+// completion of its own — rebuild chunks alone are most of a rebuild
+// storm's events.
+type diskIO struct {
+	fs       *FS
+	s        *server
+	ot       *obs.OpTimer
+	enq, svc sim.Time
+	epoch    int
+	done     func(crashed bool)
+	land     func(sim.Time) // landed, bound once per record
+}
+
+func (io *diskIO) landed(at sim.Time) {
+	io.ot.Add(obs.StageQueue, float64(at-io.enq-io.svc))
+	crashed, done := io.s.epoch != io.epoch, io.done
+	io.fs.ioFree = append(io.fs.ioFree, io)
+	done(crashed)
 }
 
 // Read reads [off, off+size) and calls done (nil allowed) at
@@ -397,27 +453,18 @@ func (s *server) read(fs *FS, st *fileState, p subOp, gid int, ot *obs.OpTimer, 
 		})
 		return
 	}
-	svc, det := s.dsk.AccessTimed(diskOff+p.offIn, p.size)
-	ot.Add(obs.StageDiskSeek, det.SeekSec)
-	ot.Add(obs.StageDiskRotation, det.RotationSec)
-	ot.Add(obs.StageDiskTransfer, det.TransferSec)
-	s.bytesRead += p.size
-	s.cOps.Inc()
-	s.cBytesR.Add(p.size)
 	epoch := s.epoch
-	enq := fs.eng.Now()
-	s.dq.Submit(svc, func(at sim.Time) {
-		ot.Add(obs.StageQueue, float64(at-enq-svc))
-		if s.epoch != epoch {
+	fs.access(s, ioRead, diskOff+p.offIn, p.size, ot, func(crashed bool) {
+		if crashed {
 			fs.failOp(done)
 			return
 		}
 		deliver := func() {
 			xfer := sim.Time(float64(p.size) / fs.Cfg.ServerNetBW)
-			enq2 := fs.eng.Now()
+			enq := fs.eng.Now()
 			s.nic.Submit(xfer, func(at sim.Time) {
 				ot.Add(obs.StageNet, float64(xfer))
-				ot.Add(obs.StageQueue, float64(at-enq2-xfer))
+				ot.Add(obs.StageQueue, float64(at-enq-xfer))
 				if s.epoch != epoch {
 					fs.failOp(done)
 					return

@@ -298,6 +298,9 @@ type FS struct {
 	// zero Redundancy config, which means no redundancy.
 	red *redState
 
+	// ioFree holds landed disk-access records for reuse (see access).
+	ioFree []*diskIO
+
 	// File-system-wide instrument handles (nil when uninstrumented).
 	cMeta      *obs.Counter
 	cRevokes   *obs.Counter

@@ -389,52 +389,58 @@ func (fs *FS) writeRedundant(gid int, p subOp, ot *obs.OpTimer, done func()) {
 		return
 	}
 	barrier := sim.NewBarrier(fs.eng, len(frag), func(sim.Time) { done() })
+	arrive := func(bool) { barrier.Arrive() }
 	posIn := fs.ecPosIn(p)
 	for _, m := range frag {
-		m := m
-		off := fs.ecExtent(m.srv, gid, m.slot)
-		svc, det := m.srv.dsk.AccessTimed(off+posIn, p.size)
-		ot.Add(obs.StageDiskSeek, det.SeekSec)
-		ot.Add(obs.StageDiskRotation, det.RotationSec)
-		ot.Add(obs.StageDiskTransfer, det.TransferSec)
-		m.srv.bytesWritten += p.size
-		m.srv.cOps.Inc()
-		m.srv.cBytesW.Add(p.size)
-		enq := fs.eng.Now()
-		m.srv.dq.Submit(svc, func(at sim.Time) {
-			ot.Add(obs.StageQueue, float64(at-enq-svc))
-			barrier.Arrive()
-		})
+		fs.access(m.srv, ioWrite, fs.ecExtent(m.srv, gid, m.slot)+posIn, p.size, ot, arrive)
 	}
 }
 
-// readReconstruct serves a piece whose home member is down by reading
-// from any k live members of its group in parallel — k fragment-sized
-// disk reads, so the degraded cost is proportional to the group width —
-// and shipping the decoded data from the first reader's NIC.
+// gather is the one reconstruction read: n bytes at pos within group
+// gid's shares on the first k live members other than server exclude,
+// read in parallel on the members' own disk queues. The reads beyond
+// one nominal fragment are charged to ot as the degraded stage. done
+// runs when the last read lands, with whether any reader crashed
+// meanwhile. gather returns the first reader, or nil without reading
+// when fewer than k members are live.
+func (fs *FS) gather(gid, exclude int, pos, n int64, ot *obs.OpTimer, done func(crashed bool)) *server {
+	readers := fs.ecLiveMembers(gid, exclude, fs.red.cfg.K)
+	if len(readers) < fs.red.cfg.K {
+		return nil
+	}
+	crashed := false
+	barrier := sim.NewBarrier(fs.eng, len(readers), func(sim.Time) { done(crashed) })
+	land := func(c bool) {
+		crashed = crashed || c
+		barrier.Arrive()
+	}
+	var total, base sim.Time
+	for i, m := range readers {
+		svc := fs.access(m.srv, ioRead, fs.ecExtent(m.srv, gid, m.slot)+pos, n, ot, land)
+		total += svc
+		if i == 0 {
+			base = svc
+		}
+	}
+	ot.Add(obs.StageDegraded, float64(total-base))
+	return readers[0].srv
+}
+
+// readReconstruct serves a piece whose home member is down by gathering
+// it from k live members of its group — k fragment-sized disk reads, so
+// the degraded cost is proportional to the group width — and shipping
+// the decoded data from the first reader's NIC.
 func (fs *FS) readReconstruct(gid int, home *server, p subOp, ot *obs.OpTimer, done func(error)) {
-	red := fs.red
-	g := &red.groups[gid]
-	if g.failed > red.cfg.M {
+	if fs.red.groups[gid].failed > fs.red.cfg.M {
 		fs.lossRead(done)
 		return
 	}
-	readers := fs.ecLiveMembers(gid, home.idx, red.cfg.K)
-	if len(readers) < red.cfg.K {
-		fs.failOp(done)
-		return
-	}
-	fs.faults.DegradedReads++
-	fs.cDegraded.Inc()
-	posIn := fs.ecPosIn(p)
-	var total, base sim.Time
-	failed := false
-	barrier := sim.NewBarrier(fs.eng, len(readers), func(sim.Time) {
-		if failed {
+	var first *server
+	first = fs.gather(gid, home.idx, fs.ecPosIn(p), p.size, ot, func(crashed bool) {
+		if crashed {
 			fs.failOp(done)
 			return
 		}
-		first := readers[0].srv
 		xfer := sim.Time(float64(p.size) / fs.Cfg.ServerNetBW)
 		enq := fs.eng.Now()
 		first.nic.Submit(xfer, func(at sim.Time) {
@@ -443,32 +449,12 @@ func (fs *FS) readReconstruct(gid int, home *server, p subOp, ot *obs.OpTimer, d
 			done(nil)
 		})
 	})
-	for i, m := range readers {
-		m := m
-		off := fs.ecExtent(m.srv, gid, m.slot)
-		svc, det := m.srv.dsk.AccessTimed(off+posIn, p.size)
-		ot.Add(obs.StageDiskSeek, det.SeekSec)
-		ot.Add(obs.StageDiskRotation, det.RotationSec)
-		ot.Add(obs.StageDiskTransfer, det.TransferSec)
-		total += svc
-		if i == 0 {
-			base = svc
-		}
-		m.srv.bytesRead += p.size
-		m.srv.cOps.Inc()
-		m.srv.cBytesR.Add(p.size)
-		epoch := m.srv.epoch
-		enq := fs.eng.Now()
-		m.srv.dq.Submit(svc, func(at sim.Time) {
-			ot.Add(obs.StageQueue, float64(at-enq-svc))
-			if m.srv.epoch != epoch {
-				failed = true
-			}
-			barrier.Arrive()
-		})
+	if first == nil {
+		fs.failOp(done)
+		return
 	}
-	// The reads beyond one nominal fragment are the reconstruction cost.
-	ot.Add(obs.StageDegraded, float64(total-base))
+	fs.faults.DegradedReads++
+	fs.cDegraded.Inc()
 }
 
 // lossRead fails a read of a group with more than m concurrent failures:
@@ -680,34 +666,22 @@ func (fs *FS) rebuildGroup(inc *ecIncident, gid int, done func(completed bool)) 
 			}
 			off = 0 // a fresh spare restarts the share
 		}
-		readers := fs.ecLiveMembers(gid, inc.server, red.cfg.K)
-		if len(readers) < red.cfg.K {
-			finish(false)
-			return
-		}
 		n := chunkBytes
 		if off+n > total {
 			n = total - off
 		}
-		failed := false
 		target := spare
-		barrier := sim.NewBarrier(fs.eng, len(readers), func(sim.Time) {
+		write := func(crashed bool) {
 			if inc.cancelled {
 				finish(false)
 				return
 			}
-			if failed {
+			if crashed {
 				step(off) // re-pick readers and retry the chunk
 				return
 			}
-			woff := fs.ecExtent(target, gid, slot)
-			svc, _ := target.dsk.AccessTimed(woff+off, n)
-			target.bytesWritten += n
-			target.cOps.Inc()
-			target.cBytesW.Add(n)
-			epoch := target.epoch
-			target.dq.Submit(svc, func(sim.Time) {
-				if target.epoch != epoch {
+			fs.access(target, ioWrite, fs.ecExtent(target, gid, slot)+off, n, nil, func(crashed bool) {
+				if crashed {
 					step(off) // the spare died: step re-picks and restarts
 					return
 				}
@@ -715,21 +689,9 @@ func (fs *FS) rebuildGroup(inc *ecIncident, gid int, done func(completed bool)) 
 				red.cRebBytes.Add(n)
 				step(off + n)
 			})
-		})
-		for _, m := range readers {
-			m := m
-			roff := fs.ecExtent(m.srv, gid, m.slot)
-			svc, _ := m.srv.dsk.AccessTimed(roff+off, n)
-			m.srv.bytesRead += n
-			m.srv.cOps.Inc()
-			m.srv.cBytesR.Add(n)
-			epoch := m.srv.epoch
-			m.srv.dq.Submit(svc, func(sim.Time) {
-				if m.srv.epoch != epoch {
-					failed = true
-				}
-				barrier.Arrive()
-			})
+		}
+		if fs.gather(gid, inc.server, off, n, nil, write) == nil {
+			finish(false)
 		}
 	}
 	step(0)

@@ -115,6 +115,7 @@ func trajectoryScenarios() []trajectoryScenario {
 			res := RunRebuild(spec, reg)
 			requirePositive(t, map[string]int64{
 				"loss_events": res.Loss.Events, "data_loss_ops": res.DataLossOps, "retries": res.Retries,
+				"degraded_reads": res.DegradedReads, "groups_rebuilt": res.Rebuild.GroupsRebuilt,
 			})
 			return fmt.Sprintf("%+v", res)
 		}},
